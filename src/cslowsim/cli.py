@@ -72,8 +72,7 @@ def _run_report(images, config, trace_paths=None):
     if trace_paths:
         for path, log in zip(trace_paths, machine.traces):
             microcode.write_trace(path, log)
-    seq = cslow.sequential_baseline(images, config.max_fast_cycles)
-    return cslow.machine_report(machine, seq)
+    return cslow.machine_report(machine, cslow.sequential_cycles(machine, images))
 
 
 def cmd_run(args) -> int:
@@ -124,13 +123,14 @@ def cmd_bench(args) -> int:
         raise ValueError("empty thread-count list")
     mode = cslow.MemoryMode(args.mode)
 
+    sweep = cslow.Sweep(images, mode, args.max_cycles)
     rows = []
     print("n_threads sequential_sum cslow_rounds fast_cycles speedup")
     for n in c_values:
         if not 1 <= n <= len(images):
             raise ValueError("thread count %d needs %d programs, have %d"
                              % (n, n, len(images)))
-        result = cslow.compare(images[:n], n, mode, args.max_cycles)
+        result = sweep.compare(n)
         rows.append({
             "n_threads": n,
             "sequential_sum": result.sum,

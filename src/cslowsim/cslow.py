@@ -12,6 +12,14 @@ in three sharing classes:
 
 Halted threads stay in the schedule and burn their slots on the halt
 self-loop; those slots are the vertical waste reported in RunMetrics.
+
+With private or tagged memory the threads never interact, so a run is C
+independent single-core runs laid out on the fixed schedule: thread t takes
+its k-th micro-step on fast cycle (k-1)*C + t, and one that halts after h_t
+steps enters the halt row on fast cycle (h_t-1)*C + t.  `run_all` runs them
+that way, each thread alone on its own memory.  Shared memory makes every
+thread see the others' writes in tick order, so there the machine ticks;
+`tick` is also the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .microcode import (
     CoreState,
     CycleLimitExceeded,
     _STEP_TABLE,
+    advance,
     run,
 )
 
@@ -133,10 +142,6 @@ class CslowMachine:
     def thread_counter(self):
         return self.fast_cycles % self.c
 
-    @property
-    def all_halted(self):
-        return all(h is not None for h in self.halt_cycle)
-
     def enable_tracing(self):
         self.traces = [[] for _ in range(self.c)]
 
@@ -164,47 +169,116 @@ class CslowMachine:
         self.fast_cycles += 1
 
     def run_all(self, trace: bool = False) -> RunMetrics:
-        """Tick until every thread has halted; stops at the tick that halts
-        the last one."""
+        """Run until every thread has halted; stops at the fast cycle that
+        halts the last one, in the state `tick` would reach there.
+
+        Raises CycleLimitExceeded, naming the threads still running and
+        carrying their states, when that takes more than
+        `max_fast_cycles` fast cycles.  A machine already advanced by
+        `tick` goes on ticking.
+        """
         if trace and self.traces is None:
             self.enable_tracing()
+        if self.config.mode is MemoryMode.SHARED or self.fast_cycles:
+            self._tick_until_halted()
+        else:
+            self._run_independent()
+        return self.metrics()
+
+    def _run_independent(self):
+        """Private/tagged from reset: each thread alone for its slots."""
+        c = self.c
+        limit = self.config.max_fast_cycles
+        logs = self.traces or [None] * c
+        stuck = []
+        for t, ctx in enumerate(self.contexts):
+            if advance(ctx, self._views[t], slots(limit, t, c), logs[t]):
+                self.halt_cycle[t] = ctx.cycles
+            else:
+                stuck.append(t)
+        if stuck:  # the tick loop stops at the limit, or at once below 1
+            total = max(limit, 0)
+        else:
+            total = independent_metrics(self.halt_cycle).fast_cycles_total
+        # Halted threads keep their slots, on the halt row, until the end.
+        for t, (ctx, log) in enumerate(zip(self.contexts, logs)):
+            end = slots(total, t, c)
+            if log is not None:
+                snap = ctx.snapshot()[1:]
+                log.extend((k,) + snap for k in range(ctx.cycles, end))
+            ctx.cycles = end
+        self.fast_cycles = total
+        if stuck:
+            raise self._overrun(stuck)
+
+    def _tick_until_halted(self):
+        """`tick` while any thread is still running."""
+        c = self.c
         limit = self.config.max_fast_cycles
         halt_cycle = self.halt_cycle
         pending = halt_cycle.count(None)
         while pending:
             if self.fast_cycles >= limit:
-                stuck = [i for i, h in enumerate(halt_cycle) if h is None]
-                raise CycleLimitExceeded(
-                    "threads %s not halted within %d fast cycles" % (stuck, limit),
-                    threads=stuck)
-            before = halt_cycle.count(None)
+                raise self._overrun([t for t, h in enumerate(halt_cycle) if h is None])
+            t = self.fast_cycles % c
+            was = halt_cycle[t]
             self.tick()
-            pending -= before - halt_cycle.count(None)
-        return self.metrics()
+            if was is None and halt_cycle[t] is not None:
+                pending -= 1
+
+    def _overrun(self, stuck) -> CycleLimitExceeded:
+        return CycleLimitExceeded(
+            "threads %s not halted within %d fast cycles"
+            % (stuck, self.config.max_fast_cycles),
+            state=[self.contexts[t] for t in stuck], threads=stuck)
 
     def metrics(self) -> RunMetrics:
-        per_thread = list(self.halt_cycle)
-        if any(h is None for h in per_thread):
+        if any(h is None for h in self.halt_cycle):
             raise ValueError("metrics requested before all threads halted")
-        rounds = max(per_thread)
-        total = self.fast_cycles
-        busy = sum(per_thread)
-        return RunMetrics(
-            per_thread_cycles=per_thread,
-            rounds=rounds,
-            fast_cycles_total=total,
-            occupancy=Fraction(busy, total),
-            vertical_waste=Fraction(total - busy, total),
-        )
+        return _metrics(self.halt_cycle, self.fast_cycles)
 
 
-def new_machine(config: CslowConfig, images) -> CslowMachine:
-    return CslowMachine(config, images)
+def slots(fast_cycles: int, thread: int, c: int) -> int:
+    """Micro-steps thread `thread` of C takes in the first `fast_cycles`
+    fast cycles: one on each of cycles thread, thread + C, thread + 2C, ..."""
+    return max(0, (fast_cycles - thread - 1) // c + 1)
+
+
+def independent_metrics(per_thread_cycles) -> RunMetrics:
+    """The closed form of a run whose C threads never interact: thread t,
+    halting after per_thread_cycles[t] micro-steps of its own, enters the
+    halt row on fast cycle (h_t - 1)*C + t, and the run ends after the
+    last of those."""
+    c = len(per_thread_cycles)
+    total = max((h - 1) * c + t for t, h in enumerate(per_thread_cycles)) + 1
+    return _metrics(per_thread_cycles, total)
+
+
+def _metrics(per_thread_cycles, total) -> RunMetrics:
+    per_thread = list(per_thread_cycles)
+    busy = sum(per_thread)
+    return RunMetrics(
+        per_thread_cycles=per_thread,
+        rounds=max(per_thread),
+        fast_cycles_total=total,
+        occupancy=Fraction(busy, total),
+        vertical_waste=Fraction(total - busy, total),
+    )
 
 
 def sequential_baseline(images, max_cycles: int = DEFAULT_MAX_FAST_CYCLES) -> int:
     """Total cycles to run the images one after another on the plain core."""
     return sum(run(img, max_cycles).cycles for img in images)
+
+
+def sequential_cycles(machine: CslowMachine, images) -> int:
+    """`sequential_baseline` of the images `machine` was built from, after
+    `run_all`.  Private and tagged threads never interact, so thread t's
+    cycles already are image t's run on the plain core; only shared memory
+    runs the images again."""
+    if machine.config.mode is MemoryMode.SHARED:
+        return sequential_baseline(images, machine.config.max_fast_cycles)
+    return sum(machine.metrics().per_thread_cycles)
 
 
 @dataclass
@@ -215,18 +289,60 @@ class CompareResult:
     speedup: Fraction
 
 
-def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
-            max_cycles: int = DEFAULT_MAX_FAST_CYCLES) -> CompareResult:
-    """Sequential-sum vs interleaved-rounds comparison for one thread count."""
-    machine = CslowMachine(CslowConfig(c, mode, max_cycles), images)
-    metrics = machine.run_all()
-    seq = sequential_baseline(images, max_cycles)
+def _compare_result(seq: int, metrics: RunMetrics) -> CompareResult:
     return CompareResult(
         sum=seq,
         max_rounds=metrics.rounds,
         fast_cycles=metrics.fast_cycles_total,
         speedup=Fraction(seq, metrics.rounds),
     )
+
+
+def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
+            max_cycles: int = DEFAULT_MAX_FAST_CYCLES) -> CompareResult:
+    """Sequential-sum vs interleaved-rounds comparison for one thread count."""
+    machine = CslowMachine(CslowConfig(c, mode, max_cycles), images)
+    metrics = machine.run_all()
+    return _compare_result(sequential_cycles(machine, images), metrics)
+
+
+class Sweep:
+    """`compare` on the first C images, for one thread count C after another.
+
+    In private and tagged mode each image runs at most once, on the plain
+    core, when the first row that needs it comes up, and every row is the
+    closed form of those runs.
+    """
+
+    def __init__(self, images, mode: MemoryMode = MemoryMode.PRIVATE,
+                 max_cycles: int = DEFAULT_MAX_FAST_CYCLES):
+        self.images = list(images)
+        self.mode = mode
+        self.max_cycles = max_cycles
+        self._halts = []  # image t's cycles to halt; None: not within its budget
+
+    def compare(self, c: int) -> CompareResult:
+        row = self.images[:c]
+        if self.mode is not MemoryMode.SHARED and 1 <= c <= MAX_THREADS and len(row) == c:
+            budgets = [slots(self.max_cycles, t, c) for t in range(c)]
+            for t in range(len(self._halts), c):
+                self._halts.append(_cycles_to_halt(row[t], budgets[t]))
+            cycles = self._halts[:c]
+            if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
+                return _compare_result(sum(cycles), independent_metrics(cycles))
+        # Shared memory, a bad thread count or a thread over its budget: the
+        # machine gives the row, or raises with the stuck threads' states.
+        return compare(row, c, self.mode, self.max_cycles)
+
+
+def _cycles_to_halt(image: MemoryImage, budget: int):
+    """The image's cycles on the plain core; None past `budget` cycles."""
+    if budget > 0:
+        try:
+            return run(image, budget).cycles
+        except CycleLimitExceeded:
+            pass
+    return None
 
 
 def machine_report(machine: CslowMachine, sequential_sum: int) -> dict:

@@ -233,7 +233,9 @@ def assemble_program(text: str, origin: int = 0) -> Assembly:
     """Two-pass assembly of a source program placed at `origin`.
 
     Directives: `.org <addr>` moves the placement counter, `.word <value>`
-    emits one literal data word.  The program must fit below address 256.
+    emits one literal data word.  An `.org` label must be defined above it,
+    since the placement of what follows depends on it.  The program must
+    fit below address 256.
     """
     if not 0 <= origin < MEMORY_SIZE:
         raise AssemblyError("origin %d outside memory" % origin)
@@ -252,7 +254,7 @@ def assemble_program(text: str, origin: int = 0) -> Assembly:
         if s.op == ".org":
             if s.operand is None:
                 raise AssemblyError(".org needs an address", s.line)
-            loc = _parse_value(s.operand, {}, s.line)
+            loc = _parse_value(s.operand, symbols, s.line)
         elif s.op == ".word":
             loc += 1
         elif s.op.startswith("."):

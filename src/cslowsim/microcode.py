@@ -428,17 +428,29 @@ def run(image: MemoryImage, max_cycles: int = 100_000, trace: bool = False) -> R
         raise ValueError("max_cycles must be positive")
     state = CoreState()
     memory = image.copy()
-    mem = memory.cells
-    table = _STEP_TABLE
     log = [] if trace else None
+    if not advance(state, memory.cells, max_cycles, log):
+        raise CycleLimitExceeded(
+            "no halt within %d cycles" % max_cycles, state=state)
+    return RunResult(state, memory, log)
+
+
+def advance(state: CoreState, mem, max_cycles: int, log: list | None = None) -> bool:
+    """Step `state` on the cell store `mem` until it enters the halt row or
+    its cycle count reaches `max_cycles`; True when it halted.
+
+    With a `log`, the state's snapshot is appended before every step.  This
+    is the one core loop: `run` and the private and tagged barrel both
+    drive it.
+    """
+    table = _STEP_TABLE
     while state.micro_pc != HALT_SEQ:
         if state.cycles >= max_cycles:
-            raise CycleLimitExceeded(
-                "no halt within %d cycles" % max_cycles, state=state)
+            return False
         if log is not None:
             log.append(state.snapshot())
         table[state.micro_pc](state, mem)
-    return RunResult(state, memory, log)
+    return True
 
 
 def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int:

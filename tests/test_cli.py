@@ -167,6 +167,19 @@ def test_bench_corpus_sum_vs_max(tmp_path, corpus_programs, capsys):
         [base[0], max(base[:2]), max(base)]
 
 
+@pytest.mark.parametrize("mode", ["private", "tagged"])
+def test_bench_cycle_limit_exits_2_at_row(corpus_programs, mode, capsys):
+    # Exactly enough fast cycles for row C=1; at C=2 thread 0 gets half.
+    limit = run(assemble(corpus_programs[0].read_text())).cycles
+    code, stdout, stderr = run_cli(
+        capsys, ["bench", *map(str, corpus_programs), "--mode", mode,
+                 "--c-values", "1,2,3", "--max-cycles", str(limit)])
+    assert code == 2
+    header, row = stdout.splitlines()
+    assert row.split()[:3] == ["1", str(limit), str(limit)]
+    assert "threads [0" in stderr and str(limit) in stderr
+
+
 def test_bench_no_programs_is_usage_error(capsys):
     code, _, stderr = run_cli(capsys, ["bench"])
     assert code == 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genprog
 from cslowsim.cslow import (
@@ -11,9 +12,9 @@ from cslowsim.cslow import (
     CslowMachine,
     ImageMismatch,
     MemoryMode,
+    Sweep,
     compare,
     machine_report,
-    new_machine,
     read_bundle,
     sequential_baseline,
     write_bundle,
@@ -40,7 +41,7 @@ def test_new_machine_validation():
     # one image, or C identical copies, both fine in shared mode
     CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img])
     CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img, img.copy()])
-    m = new_machine(CslowConfig(3, MemoryMode.PRIVATE), [img, other, img])
+    m = CslowMachine(CslowConfig(3, MemoryMode.PRIVATE), [img, other, img])
     assert m.thread_counter == 0
     assert all(ctx.micro_pc == 0 for ctx in m.contexts)
 
@@ -188,6 +189,14 @@ def test_run_all_cycle_limit_names_threads():
     with pytest.raises(CycleLimitExceeded) as exc:
         machine.run_all()
     assert exc.value.threads == [1]
+    assert exc.value.state == [machine.contexts[1]]
+    assert not exc.value.state[0].halted
+    shared = CslowMachine(CslowConfig(2, MemoryMode.SHARED,
+                                      max_fast_cycles=2000), [runaway])
+    with pytest.raises(CycleLimitExceeded) as exc:
+        shared.run_all()
+    assert exc.value.threads == [0, 1]
+    assert exc.value.state == shared.contexts
 
 
 def test_machine_report_fields():
@@ -228,3 +237,77 @@ def test_machine_does_not_mutate_caller_images():
     for mode in MemoryMode:
         CslowMachine(CslowConfig(1, mode), [img]).run_all()
         assert bytes(img.cells) == before
+
+
+def tick_oracle(config, images, trace):
+    """Drive `tick` by hand: (machine, threads left running at the limit)."""
+    machine = CslowMachine(config, images)
+    if trace:
+        machine.enable_tracing()
+    while None in machine.halt_cycle:
+        if machine.fast_cycles >= config.max_fast_cycles:
+            return machine, [t for t, h in enumerate(machine.halt_cycle) if h is None]
+        machine.tick()
+    return machine, []
+
+
+def outcome(call):
+    """The call's result, or the threads named by its CycleLimitExceeded."""
+    try:
+        return call()
+    except CycleLimitExceeded as exc:
+        return exc.threads
+
+
+def assert_same_machine(machine, ref):
+    assert machine.fast_cycles == ref.fast_cycles
+    assert machine.halt_cycle == ref.halt_cycle
+    assert [x.snapshot() for x in machine.contexts] == [x.snapshot() for x in ref.contexts]
+    assert machine.traces == ref.traces
+    for t in range(machine.c):
+        assert machine.thread_memory(t) == ref.thread_memory(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=8),
+       mode=st.sampled_from([MemoryMode.PRIVATE, MemoryMode.TAGGED]),
+       trace=st.booleans())
+def test_run_all_matches_tick_loop(seeds, mode, trace):
+    images = [asm(genprog.random_halting_program(random.Random(s))) for s in seeds]
+    c = len(images)
+    ref, stuck = tick_oracle(CslowConfig(c, mode), images, trace)
+    assert stuck == []
+    total = ref.fast_cycles
+
+    # The limit edge: exactly enough fast cycles passes ...
+    machine = CslowMachine(CslowConfig(c, mode, total), images)
+    assert machine.run_all(trace=trace) == ref.metrics()
+    assert_same_machine(machine, ref)
+
+    # ... and one fewer stops where the tick loop stops, naming the same
+    # threads and carrying their states.
+    short = CslowConfig(c, mode, total - 1)
+    ref, stuck = tick_oracle(short, images, trace)
+    machine = CslowMachine(short, images)
+    with pytest.raises(CycleLimitExceeded) as exc:
+        machine.run_all(trace=trace)
+    assert stuck and exc.value.threads == stuck
+    assert exc.value.state == [machine.contexts[t] for t in stuck]
+    assert_same_machine(machine, ref)
+    # `bench` rows under that limit, rows 1..C in turn: each one as its own
+    # `compare` has it, and the last one stopped on the same threads.
+    sweep = Sweep(images, mode, total - 1)
+    for n in range(1, c + 1):
+        row = outcome(lambda: sweep.compare(n))
+        assert row == outcome(lambda: compare(images[:n], n, mode, total - 1))
+    assert row == stuck
+
+    # `bench` rows: one `compare` per C, each as the tick loop has it.
+    sweep = Sweep(images, mode)
+    for n in range(1, c + 1):
+        ref, _ = tick_oracle(CslowConfig(n, mode), images[:n], False)
+        seq = sum(run(img).cycles for img in images[:n])
+        rounds = max(ref.halt_cycle)
+        expected = CompareResult(seq, rounds, ref.fast_cycles, Fraction(seq, rounds))
+        assert compare(images[:n], n, mode) == expected
+        assert sweep.compare(n) == expected

@@ -92,6 +92,17 @@ def test_assemble_org_and_origin():
     assert img[0] == 0
 
 
+def test_assemble_org_backward_label():
+    asm = assemble_program("CMA\nP: CMA\nHALT\n.org P\nINCA")
+    assert asm.image[asm.symbols["P"]] == ENCODING[Mnemonic.INCA]
+    assert asm.image[2] == ENCODING[Mnemonic.HALT]
+
+
+def test_assemble_org_forward_label_rejected():
+    with pytest.raises(AssemblyError, match="undefined label 'F'"):
+        assemble(".org F\nCMA\nF: HALT")
+
+
 def test_assemble_errors():
     with pytest.raises(AssemblyError, match="duplicate label"):
         assemble("A: CMA\nA: HALT")
