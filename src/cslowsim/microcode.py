@@ -65,7 +65,6 @@ class Transfer(Enum):
     A_ADD_BUF = "a<-a+buffer"
     A_SUB_BUF = "a<-a-buffer"
     PC_MEM = "pc<-M(mar)"
-    NOP = "nop"
 
 
 class Cond(Enum):
@@ -205,12 +204,6 @@ class CoreState:
         return {"pc": self.pc, "a": self.a, "mar": self.mar, "ir": self.ir,
                 "buffer": self.buffer, "z": self.z, "c": self.c}
 
-    def copy(self):
-        dup = CoreState.__new__(CoreState)
-        for name in CoreState.__slots__:
-            setattr(dup, name, getattr(self, name))
-        return dup
-
     def __repr__(self):
         return ("CoreState(upc=%d pc=%02x a=%02x mar=%02x ir=%02x buf=%02x "
                 "z=%d c=%d cycles=%d)" % (self.micro_pc, self.pc, self.a,
@@ -299,14 +292,6 @@ def _rd_a_sub_buf(s, m):
     return s.a + (s.buffer ^ WORD_MASK) + 1
 
 
-def _rd_nop(s, m):
-    return None
-
-
-def _wr_nop(s, m, v):
-    pass
-
-
 _TRANSFER_OPS = {
     Transfer.PC_ZERO: (_rd_pc_zero, _wr_pc),
     Transfer.MAR_PC: (_rd_pc, _wr_mar),
@@ -323,7 +308,6 @@ _TRANSFER_OPS = {
     Transfer.A_ADD_BUF: (_rd_a_add_buf, _wr_a_flags),
     Transfer.A_SUB_BUF: (_rd_a_sub_buf, _wr_a_flags),
     Transfer.PC_MEM: (_rd_mem, _wr_pc),
-    Transfer.NOP: (_rd_nop, _wr_nop),
 }
 
 _COND_FNS = {
@@ -489,15 +473,11 @@ def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int
 
 
 TRACE_HEADER = "cycle uaddr pc a mar ir buffer z c"
-
-
-def format_trace_line(snap) -> str:
-    cyc, upc, pc, a, mar, ir, buf, z, c = snap
-    return "%d %d %02x %02x %02x %02x %02x %d %d" % (cyc, upc, pc, a, mar, ir, buf, z, c)
+TRACE_FORMAT = "%d %d %02x %02x %02x %02x %02x %d %d"
 
 
 def format_trace(trace) -> str:
-    return "\n".join(format_trace_line(s) for s in trace) + ("\n" if trace else "")
+    return "\n".join(map(TRACE_FORMAT.__mod__, trace)) + ("\n" if trace else "")
 
 
 def write_trace(path, trace) -> None:

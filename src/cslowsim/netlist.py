@@ -15,10 +15,18 @@ File format (line-based, `#` comments):
 
 Streams files hold one line per cycle, one 0/1 character per signal in
 declaration order.
+
+Simulation is compiled: `simulate` turns the netlist into one Python
+function whose loop body is straight-line code for a cycle, nodes in
+register-free topological order.  A register pipeline is not stored per
+register: each node that drives registers keeps a bounded deque of its own
+last d values, d being the largest weight on its outgoing wires, and a
+wire of weight k reads the value from k cycles back.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -338,35 +346,63 @@ def parse_streams(text: str, names) -> dict:
     return streams
 
 
-class _Plan:
-    """Flattened evaluation plan for the simulator."""
+# One expression per node kind.  Every value stays inside `mask`, so the
+# inverting gates are an XOR with it.  INPUT's operand is its own stream.
+_EXPR = {
+    NodeKind.INPUT: "%s[t] & mask",
+    NodeKind.OUTPUT: "%s",
+    NodeKind.BUF: "%s",
+    NodeKind.AND: "%s & %s",
+    NodeKind.OR: "%s | %s",
+    NodeKind.XOR: "%s ^ %s",
+    NodeKind.NAND: "(%s & %s) ^ mask",
+    NodeKind.NOR: "(%s | %s) ^ mask",
+    NodeKind.NOT: "%s ^ mask",
+    NodeKind.CONST0: "0",
+    NodeKind.CONST1: "mask",
+}
 
-    def __init__(self, netlist):
-        order = _zero_weight_topo(netlist)
-        self.index = {name: i for i, name in enumerate(order)}
-        self.names = order
 
-        fanin = {}  # (dst, pin) -> ('v', node index) | ('r', register index)
-        self.registers = []  # (src index, depth) per weighted edge
-        for e in netlist.edges:
-            if e.weight == 0:
-                fanin[(e.dst, e.pin)] = ("v", self.index[e.src])
-            else:
-                fanin[(e.dst, e.pin)] = ("r", len(self.registers))
-                self.registers.append((self.index[e.src], e.weight))
+def _compile(netlist):
+    """Source of `run(cycles, mask, *input streams)`, which simulates
+    `netlist` and returns one output stream per `netlist.outputs()` name,
+    in that order; also the input names in parameter order.
 
-        self.ops = []  # per node in order: (kind, src specs)
-        self.input_slots = []   # (stream position, node index)
-        self.output_slots = []  # (node index, source spec)
-        inputs = netlist.inputs()
-        for name in order:
-            node = netlist.nodes[name]
-            pins = tuple(fanin[(name, p)] for p in range(ARITY[node.kind]))
-            self.ops.append((node.kind, pins))
-            if node.kind is NodeKind.INPUT:
-                self.input_slots.append((inputs.index(name), self.index[name]))
-        self.inputs = inputs
-        self.outputs = netlist.outputs()
+    Node i (in zero-weight topological order) is the local `v<i>`, its
+    register deque `q<i>`, and its stream `s<i>` if it is an input or an
+    output.  No netlist string reaches the source: identifiers are built
+    from indices alone.
+    """
+    order = _zero_weight_topo(netlist)
+    index = {name: i for i, name in enumerate(order)}
+    fanin = {}
+    depth = {}  # register source index -> deepest wire it drives
+    for e in netlist.edges:
+        i = index[e.src]
+        if e.weight:
+            fanin[(e.dst, e.pin)] = "q%d[-%d]" % (i, e.weight)
+            depth[i] = max(depth.get(i, 0), e.weight)
+        else:
+            fanin[(e.dst, e.pin)] = "v%d" % i
+    inputs = [name for name in order if netlist.nodes[name].kind is NodeKind.INPUT]
+    outputs = [index[name] for name in netlist.outputs()]
+
+    step = []
+    for i, name in enumerate(order):
+        kind = netlist.nodes[name].kind
+        args = (("s%d" % i,) if kind is NodeKind.INPUT else
+                tuple(fanin[(name, p)] for p in range(ARITY[kind])))
+        step.append("v%d = %s" % (i, _EXPR[kind] % args))
+    step += ["s%d.append(v%d)" % (i, i) for i in outputs]
+    step += ["q%d.append(v%d)" % (i, i) for i in depth]
+
+    lines = ["def run(cycles, mask%s):" % "".join(", s%d" % index[name] for name in inputs)]
+    lines += ["    q%d = deque([0] * %d, %d)" % (i, d, d) for i, d in depth.items()]
+    lines += ["    s%d = []" % i for i in outputs]
+    lines.append("    for t in range(cycles):")
+    lines += ["        " + line for line in step or ["pass"]]
+    lines.append("    return [%s]" % ", ".join("s%d" % i for i in outputs))
+    return "\n".join(lines) + "\n", inputs
 
 
 def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dict:
@@ -378,6 +414,12 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dic
     whose bit k belongs to lane k), which all gate functions respect.
     Registers start at 0; outputs are sampled after combinational settling
     each cycle, then every register pipeline shifts.
+
+    Each call compiles the netlist into one Python function whose loop
+    body is straight-line code for a cycle (see `_compile`): one
+    assignment per node, one bitwise expression per gate.  Registers are
+    kept per driving node as a bounded deque of its recent values, so a
+    cycle costs one append per such node, whatever the wire weights.
     """
     missing = [name for name in netlist.inputs() if name not in inputs]
     if missing:
@@ -386,60 +428,11 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dic
         if len(inputs[name]) < cycles:
             raise ValueError("input stream '%s' shorter than %d cycles" % (name, cycles))
 
-    plan = _Plan(netlist)
-    mask = (1 << lanes) - 1
-    n_nodes = len(plan.names)
-
-    regs = [[0] * depth for _, depth in plan.registers]
-    pos = [0] * len(plan.registers)
-    in_streams = [inputs[name] for name in plan.inputs]
-    outs = {name: [] for name in plan.outputs}
-    out_specs = []
-    for i, (kind, pins) in enumerate(plan.ops):
-        if kind is NodeKind.OUTPUT:
-            out_specs.append((plan.names[i], i))
-
-    K = NodeKind
-    ops = plan.ops
-    input_slots = plan.input_slots
-    for t in range(cycles):
-        vals = [0] * n_nodes
-        for spos, idx in input_slots:
-            vals[idx] = in_streams[spos][t] & mask
-        for i in range(n_nodes):
-            kind, pins = ops[i]
-            if pins:
-                tag, ref = pins[0]
-                x = vals[ref] if tag == "v" else regs[ref][pos[ref]]
-                if len(pins) == 2:
-                    tag, ref = pins[1]
-                    y = vals[ref] if tag == "v" else regs[ref][pos[ref]]
-            if kind is K.INPUT:
-                continue  # value already loaded from its stream
-            elif kind is K.OUTPUT or kind is K.BUF:
-                vals[i] = x
-            elif kind is K.AND:
-                vals[i] = x & y
-            elif kind is K.OR:
-                vals[i] = x | y
-            elif kind is K.XOR:
-                vals[i] = x ^ y
-            elif kind is K.NAND:
-                vals[i] = mask & ~(x & y)
-            elif kind is K.NOR:
-                vals[i] = mask & ~(x | y)
-            elif kind is K.NOT:
-                vals[i] = mask & ~x
-            elif kind is K.CONST0:
-                vals[i] = 0
-            else:  # CONST1
-                vals[i] = mask
-
-        for name, i in out_specs:
-            outs[name].append(vals[i])
-        for r, (src, depth) in enumerate(plan.registers):
-            buf = regs[r]
-            p = pos[r]
-            buf[p] = vals[src]
-            pos[r] = (p + 1) % depth
-    return outs
+    source, order = _compile(netlist)
+    namespace = {"deque": deque}
+    exec(compile(source, "<netlist>", "exec"), namespace)
+    # Popped, not read: the function keeps `namespace` as its globals, and
+    # leaving it there too would be a reference cycle only the GC frees.
+    run = namespace.pop("run")
+    streams = run(cycles, (1 << lanes) - 1, *(inputs[name] for name in order))
+    return dict(zip(netlist.outputs(), streams))

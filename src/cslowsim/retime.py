@@ -108,13 +108,19 @@ def _wd_matrices(netlist, index):
         cost = e.weight * big - int(d[u])
         if cost < key[u, v]:
             key[u, v] = cost
+    via = np.empty_like(key)
     for k in range(m):
-        np.minimum(key, key[:, k:k + 1] + key[k:k + 1, :], out=key)
+        np.add(key[:, k:k + 1], key[k:k + 1, :], out=via)
+        np.minimum(key, via, out=key)
+    del via
     reach = key < (np.int64(1) << 49)
-    w = (key + big - 1) // big
-    delay = w * big - key
-    dmat = delay + d[np.newaxis, :]
-    return w, dmat, reach, d
+    w = key + (big - 1)
+    w //= big
+    dmat = w * big
+    dmat -= key
+    del key
+    dmat += d[np.newaxis, :]
+    return w, dmat, reach
 
 
 def _solve_constraints(m, u_arr, v_arr, b_arr):
@@ -147,7 +153,16 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     if m == 0:
         return RetimeResult(Retiming({}), 0)
     pos = {name: i for i, name in enumerate(index)}
-    wmat, dmat, reach, _ = _wd_matrices(netlist, index)
+    wmat, dmat, reach = _wd_matrices(netlist, index)
+    # Every constraint a probe can need, sorted by D once: the pairs with
+    # D > c are then a suffix, found by binary search.
+    pu, pv = np.nonzero(reach)
+    del reach
+    by_d = np.argsort(dmat[pu, pv], kind="stable")
+    pu, pv = pu[by_d], pv[by_d]
+    pd = dmat[pu, pv]
+    pb = wmat[pu, pv] - 1
+    del wmat, dmat, by_d
 
     hosts = [pos[h] for h in _host_names(netlist)]
     fixed = [(pos[e.src], pos[e.dst], e.weight) for e in netlist.edges]
@@ -159,13 +174,13 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     fixed_b = np.array([f[2] for f in fixed], dtype=np.int64)
 
     def feasible(c):
-        pu, pv = np.nonzero(reach & (dmat > c))
-        u_arr = np.concatenate([fixed_u, pu])
-        v_arr = np.concatenate([fixed_v, pv])
-        b_arr = np.concatenate([fixed_b, wmat[pu, pv] - 1])
+        first = np.searchsorted(pd, c, side="right")
+        u_arr = np.concatenate([fixed_u, pu[first:]])
+        v_arr = np.concatenate([fixed_v, pv[first:]])
+        b_arr = np.concatenate([fixed_b, pb[first:]])
         return _solve_constraints(m, u_arr, v_arr, b_arr)
 
-    candidates = sorted(int(x) for x in np.unique(dmat[reach]))
+    candidates = [int(x) for x in np.unique(pd)]
     baseline = critical_path(netlist).period
     candidates = [c for c in candidates if c <= baseline]
     if not candidates or candidates[-1] != baseline:

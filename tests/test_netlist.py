@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gennet
+import refnet
 from cslowsim.netlist import (
+    ARITY,
+    GATE_KINDS,
     Edge,
     Netlist,
     NetlistError,
@@ -175,6 +179,77 @@ def test_simulate_lanes_match_lane_by_lane_runs():
         narrow = simulate(net, single, cycles)
         for out in net.outputs():
             assert [(v >> lane) & 1 for v in wide[out]] == narrow[out]
+
+
+@st.composite
+def netlists(draw):
+    """Any gate kind anywhere, loops included: a wire to a gate at or after
+    its own place in the draw order carries 1-5 registers, a forward wire
+    0-5, and one wire may get 4096."""
+    kinds = draw(st.lists(st.sampled_from(sorted(GATE_KINDS, key=lambda k: k.value)),
+                          min_size=1, max_size=10))
+    n_inputs = draw(st.integers(1, 3))
+    names = (["i%d" % k for k in range(n_inputs)]
+             + ["g%d" % k for k in range(len(kinds))])
+    nodes = [Node(name, NodeKind.INPUT) for name in names[:n_inputs]]
+    nodes += [Node(name, kind, 1) for name, kind in zip(names[n_inputs:], kinds)]
+    edges = []
+    for g, kind in enumerate(kinds):
+        for pin in range(ARITY[kind]):
+            src = draw(st.integers(0, len(names) - 1))
+            low = 1 if src >= n_inputs + g else 0
+            edges.append(Edge(names[src], names[n_inputs + g], pin,
+                              draw(st.integers(low, 5))))
+    for o in range(draw(st.integers(1, 3))):
+        nodes.append(Node("o%d" % o, NodeKind.OUTPUT))
+        edges.append(Edge(draw(st.sampled_from(names)), "o%d" % o, 0,
+                          draw(st.integers(0, 5))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(edges) - 1))
+        e = edges[k]
+        edges[k] = Edge(e.src, e.dst, e.pin, 4096)
+    return Netlist(nodes, edges)
+
+
+# Inverting gates in loops, fed by CONST1, and a 4096-deep wire.
+_INVERTING_LOOPS = parse(
+    "input a\ngate one CONST1 0\ngate n NOT 1\ngate na NAND 1\ngate no NOR 1\n"
+    "output o\noutput deep\n"
+    "wire na n 0 1\nwire n na 0 0\nwire one na 1 0\n"
+    "wire na no 0 2\nwire a no 1 0\nwire no o 0 0\nwire n deep 0 4096\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=netlists(), lanes=st.sampled_from([1, 3, 100]),
+       cycles=st.integers(0, 40), seed=st.integers(0, 2**32))
+@example(net=_INVERTING_LOOPS, lanes=3, cycles=40, seed=7)
+def test_simulate_matches_reference_lane_by_lane(net, lanes, cycles, seed):
+    rng = random.Random(seed)
+    # Streams run past `cycles` and carry bits above the top lane.
+    streams = {name: [rng.getrandbits(lanes + 2) for _ in range(cycles + 2)]
+               for name in net.inputs()}
+    outs = simulate(net, streams, cycles, lanes=lanes)
+    assert list(outs) == net.outputs()
+    for lane in range(lanes):
+        lane_in = {name: [(v >> lane) & 1 for v in s] for name, s in streams.items()}
+        ref = refnet.simulate_lane(net, lane_in, cycles)
+        for name in net.outputs():
+            assert [(v >> lane) & 1 for v in outs[name]] == ref[name], (name, lane)
+    assert all(v >> lanes == 0 for s in outs.values() for v in s)
+
+
+def test_simulate_node_names_that_are_not_identifiers():
+    net = parse(
+        "input for\ninput __builtins__\ngate a.b NAND 1\ngate x'y NOT 1\n"
+        "output 1x\n"
+        "wire for a.b 0 0\nwire __builtins__ a.b 1 0\nwire a.b x'y 0 1\n"
+        "wire x'y 1x 0 1\n")
+    rng = random.Random(3)
+    streams = {name: [rng.randint(0, 1) for _ in range(12)] for name in net.inputs()}
+    outs = simulate(net, streams, 12)
+    assert outs == refnet.simulate_lane(net, streams, 12)
+    both = [f & b for f, b in zip(streams["for"], streams["__builtins__"])]
+    assert outs["1x"] == [0, 1] + both[:10]  # NOT of the reset 0, then AND
 
 
 def test_to_text_roundtrip(ring_net_text):
