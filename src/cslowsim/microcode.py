@@ -5,6 +5,11 @@ cycle.  Each row is a set of parallel register transfers plus next-address
 control.  All sources are sampled before any destination is written, so a row
 like `IR <- M(MAR) ; pc <- pc+1` is well defined.
 
+Rows execute as generated code.  At import each control-store row becomes one
+straight-line Python function (`_row_source`), built from one table of
+transfers (destination and source expression) and one of branch conditions;
+`_STEP_TABLE[upc]` is the function for micro-address `upc`.
+
 Flag convention (the instruction set leaves it open): z and c update only on
 the four arithmetic transfers (A+1, A-1, A+Buffer, A-Buffer).  z is set when
 the 8-bit result is zero; c is the carry out of the 8-bit add, which for
@@ -21,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .isa import ENCODING, MemoryImage, Mnemonic
-
-WORD_MASK = 0xFF
+from .isa import ENCODING, MEMORY_SIZE, MemoryImage, Mnemonic
 
 # Micro-address labels.
 RESET = 0
@@ -211,178 +214,82 @@ class CoreState:
                                           self.z, self.c, self.cycles))
 
 
-# Per-transfer (read, write) pairs.  The read phase samples every source
-# (including the memory address) so parallel transfers in one row see only
-# pre-step values; the write phase applies the sampled result.
-def _rd_pc_zero(s, m):
-    return 0
-
-
-def _wr_pc(s, m, v):
-    s.pc = v
-
-
-def _rd_pc(s, m):
-    return s.pc
-
-
-def _wr_mar(s, m, v):
-    s.mar = v
-
-
-def _rd_mem(s, m):
-    return m[s.mar]
-
-
-def _wr_ir(s, m, v):
-    s.ir = v
-
-
-def _rd_pc_inc(s, m):
-    return (s.pc + 1) & WORD_MASK
-
-
-def _rd_a_not(s, m):
-    return (~s.a) & WORD_MASK
-
-
-def _wr_a(s, m, v):
-    s.a = v
-
-
-def _rd_a_inc(s, m):
-    return s.a + 1
-
-
-def _rd_a_dec(s, m):
-    return s.a + 0xFF  # two's-complement -1
-
-
-def _wr_a_flags(s, m, v):
-    s.a = v & WORD_MASK
-    s.z = 1 if s.a == 0 else 0
-    s.c = v >> 8
-
-
-def _rd_a_and_buf(s, m):
-    return s.a & s.buffer
-
-
-def _wr_buffer(s, m, v):
-    s.buffer = v
-
-
-def _rd_buffer(s, m):
-    return s.buffer
-
-
-def _rd_store(s, m):
-    return (s.mar, s.a)
-
-
-def _wr_store(s, m, v):
-    m[v[0]] = v[1]
-
-
-def _rd_a_add_buf(s, m):
-    return s.a + s.buffer
-
-
-def _rd_a_sub_buf(s, m):
-    return s.a + (s.buffer ^ WORD_MASK) + 1
-
-
-_TRANSFER_OPS = {
-    Transfer.PC_ZERO: (_rd_pc_zero, _wr_pc),
-    Transfer.MAR_PC: (_rd_pc, _wr_mar),
-    Transfer.IR_MEM: (_rd_mem, _wr_ir),
-    Transfer.PC_INC: (_rd_pc_inc, _wr_pc),
-    Transfer.A_NOT: (_rd_a_not, _wr_a),
-    Transfer.A_INC: (_rd_a_inc, _wr_a_flags),
-    Transfer.A_DEC: (_rd_a_dec, _wr_a_flags),
-    Transfer.A_AND_BUF: (_rd_a_and_buf, _wr_a),
-    Transfer.BUF_MEM: (_rd_mem, _wr_buffer),
-    Transfer.MAR_BUF: (_rd_buffer, _wr_mar),
-    Transfer.A_BUF: (_rd_buffer, _wr_a),
-    Transfer.MEM_A: (_rd_store, _wr_store),
-    Transfer.A_ADD_BUF: (_rd_a_add_buf, _wr_a_flags),
-    Transfer.A_SUB_BUF: (_rd_a_sub_buf, _wr_a_flags),
-    Transfer.PC_MEM: (_rd_mem, _wr_pc),
+# Transfer -> (destination, source expression) over the pre-row state `s`
+# and the cell store `m`.  Destination "a,zc" writes the 8-bit result to a
+# and sets z and c from the 9-bit sum; "M(mar)" stores at the address mar
+# held before the row.
+_TRANSFERS = {
+    Transfer.PC_ZERO: ("pc", "0"),
+    Transfer.MAR_PC: ("mar", "s.pc"),
+    Transfer.IR_MEM: ("ir", "m[s.mar]"),
+    Transfer.PC_INC: ("pc", "(s.pc + 1) & 255"),
+    Transfer.A_NOT: ("a", "~s.a & 255"),
+    Transfer.A_INC: ("a,zc", "s.a + 1"),
+    Transfer.A_DEC: ("a,zc", "s.a + 255"),  # two's-complement -1
+    Transfer.A_AND_BUF: ("a", "s.a & s.buffer"),
+    Transfer.BUF_MEM: ("buffer", "m[s.mar]"),
+    Transfer.MAR_BUF: ("mar", "s.buffer"),
+    Transfer.A_BUF: ("a", "s.buffer"),
+    Transfer.MEM_A: ("M(mar)", "s.a"),
+    Transfer.A_ADD_BUF: ("a,zc", "s.a + s.buffer"),
+    Transfer.A_SUB_BUF: ("a,zc", "s.a + (s.buffer ^ 255) + 1"),
+    Transfer.PC_MEM: ("pc", "m[s.mar]"),
 }
 
-_COND_FNS = {
-    Cond.I3: lambda s: (s.ir >> 3) & 1,
-    Cond.XC0: lambda s: (s.ir >> 1) & 3 == 1,
-    Cond.XC1: lambda s: (s.ir >> 1) & 3 == 2,
-    Cond.XC2: lambda s: (s.ir >> 1) & 3 == 3,
-    Cond.I0_ZERO: lambda s: not (s.ir & 1),
-    Cond.I0_ONE: lambda s: s.ir & 1,
-    Cond.Z: lambda s: s.z,
-    Cond.C: lambda s: s.c,
+_CONDS = {
+    Cond.I3: "s.ir & 8",
+    Cond.XC0: "(s.ir & 6) == 2",
+    Cond.XC1: "(s.ir & 6) == 4",
+    Cond.XC2: "(s.ir & 6) == 6",
+    Cond.I0_ZERO: "not s.ir & 1",
+    Cond.I0_ONE: "s.ir & 1",
+    Cond.Z: "s.z",
+    Cond.C: "s.c",
 }
 
 
-def _compile_row(index, row):
-    """Closure executing one row: condition and reads before any write."""
-    ops = tuple(_TRANSFER_OPS[t] for t in row.transfers)
+def _row_source(i, row):
+    """Source of `row<i>(s, m)`, which executes control-store row `i`: the
+    next address, every source (a store's address too) read into a
+    temporary, then the writes, then `micro_pc` and `cycles`."""
     kind = row.control[0]
     if kind == "next":
-        target, fallthrough, cond = index + 1, None, None
+        target = "%d" % (i + 1)
     elif kind == "goto":
-        target, fallthrough, cond = row.control[1], None, None
+        target = "%d" % row.control[1]
     else:
-        cond = _COND_FNS[row.control[1]]
-        target, fallthrough = row.control[2], index + 1
-
-    if not ops:
-        if cond is None:
-            def exec_row(s, m):
-                s.micro_pc = target
-                s.cycles += 1
+        target = "%d if %s else %d" % (row.control[2], _CONDS[row.control[1]], i + 1)
+    reads, writes = [], []
+    for k, t in enumerate(row.transfers):
+        dest, source = _TRANSFERS[t]
+        reads.append("v%d = %s" % (k, source))
+        if dest == "M(mar)":
+            reads.append("w%d = s.mar" % k)
+            writes.append("m[w%d] = v%d" % (k, k))
+        elif dest == "a,zc":
+            writes += ["s.a = v%d & 255" % k, "s.z = 0 if s.a else 1",
+                       "s.c = v%d >> 8" % k]
         else:
-            def exec_row(s, m):
-                s.micro_pc = target if cond(s) else fallthrough
-                s.cycles += 1
-    elif len(ops) == 1:
-        rd, wr = ops[0]
-        if cond is None:
-            def exec_row(s, m):
-                wr(s, m, rd(s, m))
-                s.micro_pc = target
-                s.cycles += 1
-        else:
-            def exec_row(s, m):
-                nxt = target if cond(s) else fallthrough
-                wr(s, m, rd(s, m))
-                s.micro_pc = nxt
-                s.cycles += 1
-    else:
-        (rd0, wr0), (rd1, wr1) = ops
-        if cond is None:
-            def exec_row(s, m):
-                v0 = rd0(s, m)
-                v1 = rd1(s, m)
-                wr0(s, m, v0)
-                wr1(s, m, v1)
-                s.micro_pc = target
-                s.cycles += 1
-        else:
-            def exec_row(s, m):
-                nxt = target if cond(s) else fallthrough
-                v0 = rd0(s, m)
-                v1 = rd1(s, m)
-                wr0(s, m, v0)
-                wr1(s, m, v1)
-                s.micro_pc = nxt
-                s.cycles += 1
-    return exec_row
+            writes.append("s.%s = v%d" % (dest, k))
+    body = ["u = " + target, *reads, *writes, "s.micro_pc = u", "s.cycles += 1"]
+    return "def row%d(s, m):\n%s\n" % (i, "".join("    %s\n" % line for line in body))
 
 
-_STEP_TABLE = tuple(_compile_row(i, row) for i, row in enumerate(MICROPROGRAM.rows))
+def _compile_rows(program):
+    namespace = {}
+    for i, row in enumerate(program.rows):
+        exec(compile(_row_source(i, row), "<micro-row %d>" % i, "exec"), namespace)
+    # Popped, not read: each function keeps `namespace` as its globals, and
+    # leaving it there too would be a reference cycle only the GC frees.
+    return tuple(namespace.pop("row%d" % i) for i in range(len(program.rows)))
+
+
+_STEP_TABLE = _compile_rows(MICROPROGRAM)
 
 
 def step(state: CoreState, mem) -> None:
-    """Execute one micro-instruction (one clock cycle).
+    """Execute one micro-instruction (one clock cycle) by calling the
+    generated function of the row at `state.micro_pc`.
 
     `mem` is any 256-cell byte store supporting item get/set (a bytearray,
     a memoryview, or a MemoryImage).
@@ -425,7 +332,7 @@ def advance(state: CoreState, mem, max_cycles: int, log: list | None = None) -> 
 
     With a `log`, the state's snapshot is appended before every step.  This
     is the one core loop: `run` and the private and tagged barrel both
-    drive it.
+    drive it, one generated row function per step.
     """
     table = _STEP_TABLE
     while state.micro_pc != HALT_SEQ:
@@ -441,7 +348,10 @@ def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int
     """Clock cycles for one instruction: fetch + decode + execute rows.
 
     `taken` must be given for JOZ/JOC (branch outcome) and omitted otherwise;
-    both outcomes of either branch cost the same number of rows.
+    both outcomes of either branch cost the same number of rows.  Counted
+    by stepping the rows themselves on a probe: the opcode in cell 0, both
+    flags set to the branch outcome, from Fetch until the sequencer returns
+    to Fetch or enters the halt row.
     """
     conditional = mnemonic in (Mnemonic.JOZ, Mnemonic.JOC)
     if conditional and taken is None:
@@ -450,29 +360,17 @@ def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int
         raise ValueError("%s takes no branch outcome" % mnemonic.value)
 
     probe = CoreState()
-    probe.ir = ENCODING[mnemonic]
+    probe.micro_pc = FETCH
     if conditional:
         probe.z = probe.c = 1 if taken else 0
-
-    rows = MICROPROGRAM.rows
-    upc = FETCH
-    count = 0
+    mem = bytearray(MEMORY_SIZE)
+    mem[0] = ENCODING[mnemonic]
     while True:
-        count += 1
-        kind = rows[upc].control[0]
-        if kind == "next":
-            nxt = upc + 1
-        elif kind == "goto":
-            nxt = rows[upc].control[1]
-        else:
-            cond = _COND_FNS[rows[upc].control[1]]
-            nxt = rows[upc].control[2] if cond(probe) else upc + 1
-        if nxt == FETCH or nxt == HALT_SEQ:
-            return count
-        upc = nxt
+        step(probe, mem)
+        if probe.micro_pc in (FETCH, HALT_SEQ):
+            return probe.cycles
 
 
-TRACE_HEADER = "cycle uaddr pc a mar ir buffer z c"
 TRACE_FORMAT = "%d %d %02x %02x %02x %02x %02x %d %d"
 
 

@@ -309,7 +309,8 @@ def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,
                             seed: int = 0) -> EquivalenceReport:
     """b fed `factor`-way interleaved copies of independent streams must,
     after de-interleaving, match `factor` independent runs of a exactly,
-    from cycle 0 (all registers start at 0)."""
+    from cycle 0 (all registers start at 0).  Those runs are one simulation
+    of a with the slots side by side in `factor * trials` lanes."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if factor < 1:
@@ -318,19 +319,27 @@ def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,
     rng = random.Random(seed)
     slow_streams = [_random_streams(a.inputs(), cycles, trials, rng)
                     for _ in range(factor)]
-    fast_streams = {
-        name: [slow_streams[u % factor][name][u // factor]
-               for u in range(factor * cycles)]
-        for name in a.inputs()
-    }
+    # b sees slot j's streams at fast cycles j, j+factor, ...; a runs once
+    # for every slot, with slot j's trials in lanes j*trials onwards.
+    fast_streams, packed = {}, {}
+    for name in a.inputs():
+        fast = [0] * (factor * cycles)
+        column = [0] * cycles
+        for j, streams in enumerate(slow_streams):
+            fast[j::factor] = streams[name]
+            column = [v | (w << (j * trials)) for v, w in zip(column, streams[name])]
+        fast_streams[name], packed[name] = fast, column
     outs_b = simulate(b, fast_streams, factor * cycles, lanes=trials)
+    outs_a = simulate(a, packed, cycles, lanes=factor * trials)
+    mask = (1 << trials) - 1
     for j in range(factor):
-        outs_a = simulate(a, slow_streams[j], cycles, lanes=trials)
         for name in a.outputs():
-            for t in range(cycles):
-                if outs_b[name][factor * t + j] != outs_a[name][t]:
-                    return EquivalenceReport(False, 0, trials, cycles,
-                                             mismatch=(name, factor * t + j))
+            want = [(v >> (j * trials)) & mask for v in outs_a[name]]
+            got = outs_b[name][j::factor]
+            if got != want:
+                t = next(t for t in range(cycles) if got[t] != want[t])
+                return EquivalenceReport(False, 0, trials, cycles,
+                                         mismatch=(name, factor * t + j))
     return EquivalenceReport(True, 0, trials, cycles)
 
 
@@ -373,23 +382,3 @@ def area_report(before: Netlist, after: Netlist) -> AreaModel:
         gates=len(after.gates()),
         ratio=Fraction(ra, rb) if rb else None,
     )
-
-
-def write_retiming(path, r: Retiming) -> None:
-    with open(path, "w") as fh:
-        for name, value in r.lag.items():
-            fh.write("lag %s %d\n" % (name, value))
-
-
-def read_retiming(path) -> Retiming:
-    lag = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 3 or fields[0] != "lag":
-                raise ValueError("line %d: expected 'lag <node> <integer>'" % lineno)
-            lag[fields[1]] = int(fields[2])
-    return Retiming(lag)

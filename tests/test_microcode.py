@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import genprog
+import refisa
 import refmicro
 from cslowsim.isa import ENCODING, MemoryImage, Mnemonic, assemble, assemble_program
 from cslowsim.microcode import (
@@ -244,3 +249,35 @@ def test_rows_one_cycle_each_taken_or_not():
         state.z = z
         step(state, bytearray(256))
         assert state.cycles == 1
+
+
+def _check_against_oracle(source):
+    image = assemble(source)
+    want = refisa.run(image.cells)
+    got = run(image)
+    state = got.state
+    assert (state.pc, state.a, state.z, state.c) == (want.pc, want.a, want.z, want.c)
+    assert bytes(got.memory.cells) == want.memory
+    assert got.cycles == want.cycles
+    # Flags stay the ints 0/1: the JSON reports would print a bool as true.
+    assert type(state.z) is int and type(state.c) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), length=st.integers(1, 24))
+def test_run_matches_instruction_level_oracle(seed, length):
+    _check_against_oracle(genprog.random_halting_program(
+        random.Random(seed), min_len=length, max_len=length))
+
+
+def test_corpus_matches_instruction_level_oracle(corpus_programs):
+    # The generated programs only jump forward; the corpus has loops.
+    for path in corpus_programs:
+        _check_against_oracle(path.read_text())
+
+
+def test_pc_wraps_at_top_of_memory():
+    # HALT in the last cell: its fetch leaves pc at 0, not 0x100.
+    source = "CMA\nINCA\nJOZ HI\nHALT\n.org 0xFE\nHI: CMA\nHALT\n"
+    _check_against_oracle(source)
+    assert run(assemble(source)).state.pc == 0

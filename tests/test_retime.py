@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gennet
-from cslowsim.netlist import critical_path, parse, simulate
+from cslowsim.netlist import Netlist, Node, NodeKind, critical_path, parse, simulate
 from cslowsim.retime import (
     REFERENCE_SLICE_REGISTERS,
     BadC,
@@ -21,9 +21,7 @@ from cslowsim.retime import (
     flush_warmup,
     min_period_retime,
     pipeline,
-    read_retiming,
     retimed_weights,
-    write_retiming,
 )
 
 
@@ -189,15 +187,22 @@ def test_area_report_no_registers(chain_net_text):
     assert model.ratio is None
 
 
-def test_retiming_file_roundtrip(tmp_path, ring_net_text):
-    ring2 = cslow_transform(parse(ring_net_text), 2)
-    result = min_period_retime(ring2)
-    path = tmp_path / "ring.lag"
-    write_retiming(path, result.retiming)
-    for line in path.read_text().splitlines():
-        assert line.startswith("lag ")
-    back = read_retiming(path)
-    assert apply_retiming(ring2, back) == apply_retiming(ring2, result.retiming)
+def test_cslow_check_fails_on_changed_gate(ring_net_text):
+    # The 3-slowed ring with its XOR turned into an OR differs only when the
+    # input and the fed-back value are both 1.  The expected mismatches pin
+    # the order of comparison: slot by slot, each output, then cycle by
+    # cycle; the last two cases first differ in slots 1 and 2.
+    ring = parse(ring_net_text)
+    slowed = cslow_transform(ring, 3)
+    broken = Netlist([Node(n.name, NodeKind.OR, n.delay) if n.name == "g1" else n
+                      for n in slowed.nodes.values()], slowed.edges)
+    for trials, cycles, seed, mismatch in ((32, 64, 1, ("out", 6)),
+                                           (1, 4, 32, ("out", 10)),   # slot 1
+                                           (1, 4, 10, ("out", 11))):  # slot 2
+        report = check_cslow_equivalence(ring, broken, 3, trials=trials,
+                                         cycles=cycles, seed=seed)
+        assert report.verdict == "FAIL"
+        assert report.mismatch == mismatch
 
 
 def test_optimality_small_graphs_against_brute_force():
