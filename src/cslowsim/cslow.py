@@ -16,10 +16,13 @@ self-loop; those slots are the vertical waste reported in RunMetrics.
 With private or tagged memory the threads never interact, so a run is C
 independent single-core runs laid out on the fixed schedule: thread t takes
 its k-th micro-step on fast cycle (k-1)*C + t, and one that halts after h_t
-steps enters the halt row on fast cycle (h_t-1)*C + t.  `run_all` runs them
-that way, each thread alone on its own memory.  Shared memory makes every
-thread see the others' writes in tick order, so there the machine ticks;
-`tick` is also the reference the closed form is tested against.
+steps enters the halt row on fast cycle (h_t-1)*C + t.  So `run_all` runs
+each thread to its halt, or to its last slot under the limit, on its own
+memory through `microcode.advance`: untraced, whole instructions at a time
+in the generated instruction loop; traced, one row per step, logged.  Shared
+memory makes every thread see the others' writes in tick order, so there
+the machine ticks, one row per tick; `tick` is also the reference the
+closed form is tested against.
 """
 
 from __future__ import annotations

@@ -5,10 +5,19 @@ cycle.  Each row is a set of parallel register transfers plus next-address
 control.  All sources are sampled before any destination is written, so a row
 like `IR <- M(MAR) ; pc <- pc+1` is well defined.
 
-Rows execute as generated code.  At import each control-store row becomes one
-straight-line Python function (`_row_source`), built from one table of
-transfers (destination and source expression) and one of branch conditions;
-`_STEP_TABLE[upc]` is the function for micro-address `upc`.
+Rows execute as generated code, built at import from one table of transfers
+(destination and source template) and one of branch conditions.
+`_transfer_lines` writes a row's statements, and two shapes of code use them:
+
+  rows   each control-store row is one straight-line Python function
+         (`_row_source`); `_STEP_TABLE[upc]` is the function for
+         micro-address `upc`.  Traced runs, the shared-memory barrel's
+         ticks, `step`, `instruction_cycle_cost` and the last few cycles
+         before a cycle limit run on them.
+  loop   one function (`_loop_source`) runs whole instructions with the
+         registers in locals: each instruction is the rows from Fetch
+         inline, every condition row an `if`.  Untraced runs (`advance`
+         without a log) spend their cycles in it.
 
 Flag convention (the instruction set leaves it open): z and c update only on
 the four arithmetic transfers (A+1, A-1, A+Buffer, A-Buffer).  z is set when
@@ -214,65 +223,123 @@ class CoreState:
                                           self.z, self.c, self.cycles))
 
 
-# Transfer -> (destination, source expression) over the pre-row state `s`
-# and the cell store `m`.  Destination "a,zc" writes the 8-bit result to a
-# and sets z and c from the 9-bit sum; "M(mar)" stores at the address mar
-# held before the row.
+# Transfer -> (destination, source template) over the pre-row registers
+# `{pc}`, `{a}`, ... and the cell store `m`.  Destination "a,zc" writes the
+# 8-bit result to a and sets z and c from the 9-bit sum; "M(mar)" stores at
+# the address mar held before the row.
 _TRANSFERS = {
     Transfer.PC_ZERO: ("pc", "0"),
-    Transfer.MAR_PC: ("mar", "s.pc"),
-    Transfer.IR_MEM: ("ir", "m[s.mar]"),
-    Transfer.PC_INC: ("pc", "(s.pc + 1) & 255"),
-    Transfer.A_NOT: ("a", "~s.a & 255"),
-    Transfer.A_INC: ("a,zc", "s.a + 1"),
-    Transfer.A_DEC: ("a,zc", "s.a + 255"),  # two's-complement -1
-    Transfer.A_AND_BUF: ("a", "s.a & s.buffer"),
-    Transfer.BUF_MEM: ("buffer", "m[s.mar]"),
-    Transfer.MAR_BUF: ("mar", "s.buffer"),
-    Transfer.A_BUF: ("a", "s.buffer"),
-    Transfer.MEM_A: ("M(mar)", "s.a"),
-    Transfer.A_ADD_BUF: ("a,zc", "s.a + s.buffer"),
-    Transfer.A_SUB_BUF: ("a,zc", "s.a + (s.buffer ^ 255) + 1"),
-    Transfer.PC_MEM: ("pc", "m[s.mar]"),
+    Transfer.MAR_PC: ("mar", "{pc}"),
+    Transfer.IR_MEM: ("ir", "m[{mar}]"),
+    Transfer.PC_INC: ("pc", "({pc} + 1) & 255"),
+    Transfer.A_NOT: ("a", "~{a} & 255"),
+    Transfer.A_INC: ("a,zc", "{a} + 1"),
+    Transfer.A_DEC: ("a,zc", "{a} + 255"),  # two's-complement -1
+    Transfer.A_AND_BUF: ("a", "{a} & {buffer}"),
+    Transfer.BUF_MEM: ("buffer", "m[{mar}]"),
+    Transfer.MAR_BUF: ("mar", "{buffer}"),
+    Transfer.A_BUF: ("a", "{buffer}"),
+    Transfer.MEM_A: ("M(mar)", "{a}"),
+    Transfer.A_ADD_BUF: ("a,zc", "{a} + {buffer}"),
+    Transfer.A_SUB_BUF: ("a,zc", "{a} + ({buffer} ^ 255) + 1"),
+    Transfer.PC_MEM: ("pc", "m[{mar}]"),
 }
 
 _CONDS = {
-    Cond.I3: "s.ir & 8",
-    Cond.XC0: "(s.ir & 6) == 2",
-    Cond.XC1: "(s.ir & 6) == 4",
-    Cond.XC2: "(s.ir & 6) == 6",
-    Cond.I0_ZERO: "not s.ir & 1",
-    Cond.I0_ONE: "s.ir & 1",
-    Cond.Z: "s.z",
-    Cond.C: "s.c",
+    Cond.I3: "{ir} & 8",
+    Cond.XC0: "({ir} & 6) == 2",
+    Cond.XC1: "({ir} & 6) == 4",
+    Cond.XC2: "({ir} & 6) == 6",
+    Cond.I0_ZERO: "not {ir} & 1",
+    Cond.I0_ONE: "{ir} & 1",
+    Cond.Z: "{z}",
+    Cond.C: "{c}",
 }
+
+_REGISTERS = ("pc", "a", "mar", "ir", "buffer", "z", "c")
+# How generated code spells each register: a row function reaches it
+# through its CoreState `s`, the instruction loop holds it in a local.
+_FIELDS = {r: "s." + r for r in _REGISTERS}
+_LOCALS = {r: r for r in _REGISTERS}
+
+
+def _transfer_lines(transfers, names):
+    """Statements of one row's transfers, registers spelt by `names`: every
+    source (a store's address too) read into a temporary, then the writes."""
+    reads, writes = [], []
+    for k, t in enumerate(transfers):
+        dest, source = _TRANSFERS[t]
+        reads.append("v%d = %s" % (k, source))
+        if dest == "M(mar)":
+            reads.append("w%d = {mar}" % k)
+            writes.append("m[w%d] = v%d" % (k, k))
+        elif dest == "a,zc":
+            writes += ["{a} = v%d & 255" % k, "{z} = 0 if {a} else 1",
+                       "{c} = v%d >> 8" % k]
+        else:
+            writes.append("{%s} = v%d" % (dest, k))
+    return [line.format_map(names) for line in reads + writes]
 
 
 def _row_source(i, row):
     """Source of `row<i>(s, m)`, which executes control-store row `i`: the
-    next address, every source (a store's address too) read into a
-    temporary, then the writes, then `micro_pc` and `cycles`."""
+    next address, the transfers, then `micro_pc` and `cycles`."""
     kind = row.control[0]
     if kind == "next":
         target = "%d" % (i + 1)
     elif kind == "goto":
         target = "%d" % row.control[1]
     else:
-        target = "%d if %s else %d" % (row.control[2], _CONDS[row.control[1]], i + 1)
-    reads, writes = [], []
-    for k, t in enumerate(row.transfers):
-        dest, source = _TRANSFERS[t]
-        reads.append("v%d = %s" % (k, source))
-        if dest == "M(mar)":
-            reads.append("w%d = s.mar" % k)
-            writes.append("m[w%d] = v%d" % (k, k))
-        elif dest == "a,zc":
-            writes += ["s.a = v%d & 255" % k, "s.z = 0 if s.a else 1",
-                       "s.c = v%d >> 8" % k]
-        else:
-            writes.append("s.%s = v%d" % (dest, k))
-    body = ["u = " + target, *reads, *writes, "s.micro_pc = u", "s.cycles += 1"]
+        target = "%d if %s else %d" % (
+            row.control[2], _CONDS[row.control[1]].format_map(_FIELDS), i + 1)
+    body = ["u = " + target, *_transfer_lines(row.transfers, _FIELDS),
+            "s.micro_pc = u", "s.cycles += 1"]
     return "def row%d(s, m):\n%s\n" % (i, "".join("    %s\n" % line for line in body))
+
+
+def _loop_source(program):
+    """Source of `instructions(s, m, limit)`, and the most rows one
+    instruction runs.
+
+    The function holds the registers and the cycle count in locals and
+    runs whole instructions from Fetch while the count is at most `limit`:
+    each one the control store's rows from Fetch, inline, with every
+    condition row an `if`, up to the return to Fetch or the halt row.  It
+    stops in the halt row or at Fetch, and writes the state back once.
+    """
+    lines = []
+
+    def follow(upc, rows, pad):
+        # Rows from `upc` on, `rows` rows into the instruction; returns the
+        # most rows a path from here runs.
+        if rows and upc == FETCH:
+            lines.extend(pad + line for line in ("cycles += %d" % rows, "continue"))
+            return rows
+        if rows and upc == HALT_SEQ:
+            lines.extend(pad + line for line in (
+                "cycles += %d" % rows, "upc = %d" % HALT_SEQ, "break"))
+            return rows
+        row = program.rows[upc]
+        body = _transfer_lines(row.transfers, _LOCALS)
+        kind = row.control[0]
+        taken = 0
+        if kind == "if":  # tested on the pre-row registers
+            lines.append(pad + "if %s:" % _CONDS[row.control[1]].format_map(_LOCALS))
+            lines.extend(pad + "    " + line for line in body)
+            taken = follow(row.control[2], rows + 1, pad + "    ")
+        lines.extend(pad + line for line in body)
+        after = row.control[1] if kind == "goto" else upc + 1
+        return max(taken, follow(after, rows + 1, pad))
+
+    state = _REGISTERS + ("cycles",)
+    fields = ", ".join("s." + r for r in state)
+    head = ["def instructions(s, m, limit):",
+            "    %s = %s" % (", ".join(state), fields),
+            "    upc = %d" % FETCH,
+            "    while cycles <= limit:"]
+    worst = follow(FETCH, 0, " " * 8)
+    tail = ["    %s = %s" % (fields, ", ".join(state)), "    s.micro_pc = upc"]
+    return "\n".join(head + lines + tail) + "\n", worst
 
 
 def _compile_rows(program):
@@ -284,7 +351,16 @@ def _compile_rows(program):
     return tuple(namespace.pop("row%d" % i) for i in range(len(program.rows)))
 
 
+def _compile_loop(program):
+    source, worst = _loop_source(program)
+    namespace = {}
+    exec(compile(source, "<instruction loop>", "exec"), namespace)
+    return namespace.pop("instructions"), worst
+
+
 _STEP_TABLE = _compile_rows(MICROPROGRAM)
+# WORST: the most rows one instruction takes, Fetch through its last row.
+_INSTRUCTIONS, WORST = _compile_loop(MICROPROGRAM)
 
 
 def step(state: CoreState, mem) -> None:
@@ -330,11 +406,21 @@ def advance(state: CoreState, mem, max_cycles: int, log: list | None = None) -> 
     """Step `state` on the cell store `mem` until it enters the halt row or
     its cycle count reaches `max_cycles`; True when it halted.
 
-    With a `log`, the state's snapshot is appended before every step.  This
-    is the one core loop: `run` and the private and tagged barrel both
-    drive it, one generated row function per step.
+    This is the one core loop: `run` and the private and tagged barrel both
+    drive it.  With a `log`, the state's snapshot is appended before every
+    step, and every step is one generated row function.  Without one, rows
+    run up to the first Fetch (from reset, the reset row alone), then the
+    generated instruction loop runs whole instructions while the costliest
+    one (`WORST` rows) still fits under `max_cycles`, and rows run the
+    rest: the same states, cycle for cycle.
     """
     table = _STEP_TABLE
+    if log is None:
+        while (state.micro_pc != FETCH and state.micro_pc != HALT_SEQ
+               and state.cycles < max_cycles):
+            table[state.micro_pc](state, mem)
+        if state.micro_pc == FETCH:
+            _INSTRUCTIONS(state, mem, max_cycles - WORST)
     while state.micro_pc != HALT_SEQ:
         if state.cycles >= max_cycles:
             return False

@@ -3,9 +3,10 @@
 Each case runs `cli.main` in a temporary directory and hashes its exit
 code, stdout, stderr and every file it wrote.  The digests were taken
 before the control store became generated code, so any change to a report,
-a trace file or a `bench` table shows up here as a named case.  Regenerate
-with `PYTHONPATH=src python tests/test_golden.py` only for an intended
-change of the output format.
+a trace file or a `bench` table shows up here as a named case.  The
+cycle-limit cases were added, with their digests, before untraced runs moved
+to the whole-instruction loop.  Regenerate with `PYTHONPATH=src python
+tests/test_golden.py` only for an intended change of the output format.
 """
 
 import contextlib
@@ -54,6 +55,16 @@ def cases():
         for limit in (50, 5000):
             yield ("bench %s --max-cycles %d" % (mode, limit),
                    ["bench", *sources, "--mode", mode,
+                    "--max-cycles", str(limit), "--json", "bench.json"])
+    # Cycle-limit edges: countdown halts on its 172nd cycle, and a bench row
+    # at C=1 stops on the reset row (limit 1) or inside an instruction (13).
+    for limit in (171, 172):
+        yield ("run countdown --max-cycles %d" % limit,
+               ["run", "countdown.hex", "--max-cycles", str(limit)])
+    for mode in ("private", "tagged"):
+        for limit in (1, 13):
+            yield ("bench %s --max-cycles %d" % (mode, limit),
+                   ["bench", *[p + ".asm" for p in PROGRAMS], "--mode", mode,
                     "--max-cycles", str(limit), "--json", "bench.json"])
 
 
@@ -120,6 +131,18 @@ GOLDEN = {
         "f1a5d62cfbf3c9fc632a9d97df39c19990a81b1d8df966c7e13d2ab716a81177",
     "bench shared --max-cycles 5000":
         "73234f9755c6bbfa4f80191b813796ba208e5b49cabd605b354a9d61a0f26c93",
+    "run countdown --max-cycles 171":
+        "b4cae36bcdf5e0b7639c388778af8993ed363c995056b89257191e4c3097def1",
+    "run countdown --max-cycles 172":
+        "20bb0264b88c1178b3ee85129736d3db8c8637fdc52914384da81b51d7cd83c6",
+    "bench private --max-cycles 1":
+        "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
+    "bench private --max-cycles 13":
+        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+    "bench tagged --max-cycles 1":
+        "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
+    "bench tagged --max-cycles 13":
+        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
 }
 
 

@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 import genprog
 import refisa
 import refmicro
+from cslowsim.cslow import TaggedMemory
 from cslowsim.isa import ENCODING, MemoryImage, Mnemonic, assemble, assemble_program
 from cslowsim.microcode import (
+    _STEP_TABLE,
     FETCH,
     HALT_SEQ,
     MICROPROGRAM,
     MICROPROGRAM_LENGTH,
+    WORST,
     Cond,
     CoreState,
     CycleLimitExceeded,
     Transfer,
+    advance,
     build_microprogram,
     format_trace,
     instruction_cycle_cost,
@@ -171,6 +175,13 @@ def test_cycle_cost_table_matches_independent_oracle():
             assert instruction_cycle_cost(m) == expected
 
 
+def test_worst_is_the_costliest_instruction():
+    costs = [instruction_cycle_cost(m, taken)
+             for m in Mnemonic
+             for taken in ((True, False) if m in (Mnemonic.JOZ, Mnemonic.JOC) else (None,))]
+    assert WORST == max(costs) == 12
+
+
 def test_cycle_cost_argument_validation():
     with pytest.raises(ValueError):
         instruction_cycle_cost(Mnemonic.JOZ)
@@ -281,3 +292,46 @@ def test_pc_wraps_at_top_of_memory():
     source = "CMA\nINCA\nJOZ HI\nHALT\n.org 0xFE\nHI: CMA\nHALT\n"
     _check_against_oracle(source)
     assert run(assemble(source)).state.pc == 0
+
+
+def _step_rows(state, mem, max_cycles):
+    """The row-by-row core loop: one generated row function per cycle."""
+    while state.micro_pc != HALT_SEQ:
+        if state.cycles >= max_cycles:
+            return False
+        _STEP_TABLE[state.micro_pc](state, mem)
+    return True
+
+
+_ROWS_CAP = 3000  # random images that run longer count as not halting
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.binary(min_size=256, max_size=256), tagged=st.booleans(),
+       data=st.data())
+def test_untraced_advance_matches_rows(cells, tagged, data):
+    # Random images hit every opcode, stores into code and pc wraps.
+    probe = CoreState()
+    h = probe.cycles if _step_rows(probe, bytearray(cells), _ROWS_CAP) else None
+    edges = [1, 2, 12, 13]
+    if h is not None:
+        edges += [n for n in range(h - 13, h + 2) if n >= 1]
+    limits = data.draw(st.lists(st.sampled_from(edges) | st.integers(1, _ROWS_CAP),
+                                min_size=1, max_size=4))
+    for limit in limits:
+        ref, ref_mem = CoreState(), bytearray(cells)
+        ref_halted = _step_rows(ref, ref_mem, limit)
+        state = CoreState()
+        if tagged:  # the barrel's tagged store: a memoryview into thread 1's part
+            store = TaggedMemory(2)
+            store.install(1, MemoryImage(cells))
+            mem = store.view(1)
+        else:
+            mem = bytearray(cells)
+        halted = advance(state, mem, limit)
+        assert (halted, state.snapshot(), bytes(mem)) == (
+            ref_halted, ref.snapshot(), bytes(ref_mem))
+        if not ref_halted:
+            with pytest.raises(CycleLimitExceeded) as exc:
+                run(MemoryImage(cells), limit)
+            assert exc.value.state.snapshot() == ref.snapshot()
