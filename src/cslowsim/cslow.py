@@ -16,13 +16,25 @@ self-loop; those slots are the vertical waste reported in RunMetrics.
 With private or tagged memory the threads never interact, so a run is C
 independent single-core runs laid out on the fixed schedule: thread t takes
 its k-th micro-step on fast cycle (k-1)*C + t, and one that halts after h_t
-steps enters the halt row on fast cycle (h_t-1)*C + t.  So `run_all` runs
-each thread to its halt, or to its last slot under the limit, on its own
-memory through `microcode.advance`: untraced, whole instructions at a time
-in the generated instruction loop; traced, one row per step, logged.  Shared
-memory makes every thread see the others' writes in tick order, so there
-the machine ticks, one row per tick; `tick` is also the reference the
-closed form is tested against.
+steps enters the halt row on fast cycle (h_t-1)*C + t.
+
+Shared memory comes to the same thing, because three conditions hold: it
+takes one image or C identical ones, every thread starts from reset, and no
+control-store row both reads and writes memory.  Then thread t's k-th step
+repeats thread 0's k-th step (induction on k and t).  The two start from the
+same registers, and between them only threads 1..t-1 step, each repeating
+that same step.  A row that reads memory writes none, so thread t reads the
+store thread 0 read; a row that writes stores a register at a register
+address, so thread t stores what thread 0 stored.  Every write thread 0 did
+not make repeats one it did, so the store is always thread 0's memory run
+alone.  The C threads run one program in lock-step, each on a copy of the
+image as in private mode, and thread 0's copy, the one furthest ahead, is
+the shared store, also when a cycle limit stops the run.
+
+So `run_all` runs each thread to its halt, or to its last slot under the
+limit, on its own memory through `microcode.advance`: untraced, whole
+instructions at a time in the generated instruction loop; traced, one row
+per step, logged.  `tick` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -105,34 +117,27 @@ class CslowMachine:
         images = list(images)
 
         if config.mode is MemoryMode.SHARED:
-            if len(images) == c:
-                first = images[0]
-                for i, img in enumerate(images[1:], start=1):
-                    if img.cells != first.cells:
-                        raise ImageMismatch(
-                            "shared memory needs one image; image %d differs from image 0" % i)
-                images = [first]
-            if len(images) != 1:
+            if len(images) not in (1, c):
                 raise BadThreadCount(
                     "shared mode takes 1 image or %d identical, got %d" % (c, len(images)))
-            shared = images[0].copy()
-            self._memories = [shared]
-            self._views = [shared.cells] * c
-            self._initial = [shared.copy() for _ in range(c)]
+            for i, img in enumerate(images[1:], start=1):
+                if img.cells != images[0].cells:
+                    raise ImageMismatch(
+                        "shared memory needs one image; image %d differs from image 0" % i)
+            images = images[:1] * c  # lock-step copies: see the module docstring
+        if len(images) != c:
+            raise BadThreadCount("expected %d images, got %d" % (c, len(images)))
+        if config.mode is MemoryMode.TAGGED:
+            tagged = TaggedMemory(c)
+            for t, img in enumerate(images):
+                tagged.install(t, img)
+            self._memories = [tagged]
+            self._views = [tagged.view(t) for t in range(c)]
         else:
-            if len(images) != c:
-                raise BadThreadCount("expected %d images, got %d" % (c, len(images)))
-            if config.mode is MemoryMode.PRIVATE:
-                copies = [img.copy() for img in images]
-                self._memories = copies
-                self._views = [m.cells for m in copies]
-            else:  # tagged
-                tagged = TaggedMemory(c)
-                for t, img in enumerate(images):
-                    tagged.install(t, img)
-                self._memories = [tagged]
-                self._views = [tagged.view(t) for t in range(c)]
-            self._initial = [img.copy() for img in images]
+            copies = [img.copy() for img in images]
+            self._memories = copies
+            self._views = [m.cells for m in copies]
+        self._initial = [img.copy() for img in images]
 
         self.config = config
         self.c = c
@@ -149,15 +154,16 @@ class CslowMachine:
         self.traces = [[] for _ in range(self.c)]
 
     def thread_memory(self, thread) -> MemoryImage:
-        """Snapshot of the memory as thread `thread` sees it."""
+        """Snapshot of the memory as thread `thread` sees it.  The shared
+        store is thread 0's copy, the one furthest ahead."""
+        if self.config.mode is MemoryMode.TAGGED:
+            return self._memories[0].image(thread)
         if self.config.mode is MemoryMode.SHARED:
-            return self._memories[0].copy()
-        if self.config.mode is MemoryMode.PRIVATE:
-            return self._memories[thread].copy()
-        return self._memories[0].image(thread)
+            thread = 0
+        return self._memories[thread].copy()
 
     def initial_image(self, thread) -> MemoryImage:
-        return self._initial[thread if len(self._initial) > 1 else 0]
+        return self._initial[thread]
 
     def tick(self):
         """Advance one fast-clock cycle: exactly one micro-step of the
@@ -172,24 +178,20 @@ class CslowMachine:
         self.fast_cycles += 1
 
     def run_all(self, trace: bool = False) -> RunMetrics:
-        """Run until every thread has halted; stops at the fast cycle that
-        halts the last one, in the state `tick` would reach there.
+        """Run from reset until every thread has halted; stops at the fast
+        cycle that halts the last one, in the state `tick` would reach there.
 
-        Raises CycleLimitExceeded, naming the threads still running and
-        carrying their states, when that takes more than
-        `max_fast_cycles` fast cycles.  A machine already advanced by
-        `tick` goes on ticking.
+        Each thread runs alone on its memory for the slots the schedule
+        gives it within the limit; then every thread that halted sits on the
+        halt row, its traces padded, up to the end of the run.  Raises
+        CycleLimitExceeded, naming the threads still running and carrying
+        their states, when that takes more than `max_fast_cycles` fast
+        cycles, and ValueError on a machine already advanced by `tick`.
         """
+        if self.fast_cycles:
+            raise ValueError("run_all needs a machine at reset")
         if trace and self.traces is None:
             self.enable_tracing()
-        if self.config.mode is MemoryMode.SHARED or self.fast_cycles:
-            self._tick_until_halted()
-        else:
-            self._run_independent()
-        return self.metrics()
-
-    def _run_independent(self):
-        """Private/tagged from reset: each thread alone for its slots."""
         c = self.c
         limit = self.config.max_fast_cycles
         logs = self.traces or [None] * c
@@ -199,7 +201,7 @@ class CslowMachine:
                 self.halt_cycle[t] = ctx.cycles
             else:
                 stuck.append(t)
-        if stuck:  # the tick loop stops at the limit, or at once below 1
+        if stuck:  # ticking stops at the limit, or at once below 1
             total = max(limit, 0)
         else:
             total = independent_metrics(self.halt_cycle).fast_cycles_total
@@ -212,28 +214,10 @@ class CslowMachine:
             ctx.cycles = end
         self.fast_cycles = total
         if stuck:
-            raise self._overrun(stuck)
-
-    def _tick_until_halted(self):
-        """`tick` while any thread is still running."""
-        c = self.c
-        limit = self.config.max_fast_cycles
-        halt_cycle = self.halt_cycle
-        pending = halt_cycle.count(None)
-        while pending:
-            if self.fast_cycles >= limit:
-                raise self._overrun([t for t, h in enumerate(halt_cycle) if h is None])
-            t = self.fast_cycles % c
-            was = halt_cycle[t]
-            self.tick()
-            if was is None and halt_cycle[t] is not None:
-                pending -= 1
-
-    def _overrun(self, stuck) -> CycleLimitExceeded:
-        return CycleLimitExceeded(
-            "threads %s not halted within %d fast cycles"
-            % (stuck, self.config.max_fast_cycles),
-            state=[self.contexts[t] for t in stuck], threads=stuck)
+            raise CycleLimitExceeded(
+                "threads %s not halted within %d fast cycles" % (stuck, limit),
+                state=[self.contexts[t] for t in stuck], threads=stuck)
+        return self.metrics()
 
     def metrics(self) -> RunMetrics:
         if any(h is None for h in self.halt_cycle):
@@ -276,12 +260,10 @@ def sequential_baseline(images, max_cycles: int = DEFAULT_MAX_FAST_CYCLES) -> in
 
 def sequential_cycles(machine: CslowMachine, images) -> int:
     """`sequential_baseline` of the images `machine` was built from, after
-    `run_all`.  Private and tagged threads never interact, so thread t's
-    cycles already are image t's run on the plain core; only shared memory
-    runs the images again."""
-    if machine.config.mode is MemoryMode.SHARED:
-        return sequential_baseline(images, machine.config.max_fast_cycles)
-    return sum(machine.metrics().per_thread_cycles)
+    `run_all`.  Thread t's cycles are image t's run on the plain core (in
+    shared mode every thread runs the one image), so the sum over the images
+    given is h for one shared image and C*h for C identical ones."""
+    return sum(machine.metrics().per_thread_cycles[:len(images)])
 
 
 @dataclass

@@ -154,15 +154,17 @@ class MemoryImage:
 
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
+_DEC_RE = re.compile(r"[0-9]+")
 
 
 def _parse_value(text, symbols, line):
     """Numeric literal (decimal or 0x hex) or a label; returns 0..255."""
     text = text.strip()
     value = None
-    if re.fullmatch(r"0[xX][0-9a-fA-F]+", text):
+    if _HEX_RE.fullmatch(text):
         value = int(text, 16)
-    elif re.fullmatch(r"[0-9]+", text):
+    elif _DEC_RE.fullmatch(text):
         value = int(text, 10)
     elif _LABEL_RE.match(text):
         if symbols is None:

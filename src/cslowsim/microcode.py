@@ -11,9 +11,9 @@ Rows execute as generated code, built at import from one table of transfers
 
   rows   each control-store row is one straight-line Python function
          (`_row_source`); `_STEP_TABLE[upc]` is the function for
-         micro-address `upc`.  Traced runs, the shared-memory barrel's
-         ticks, `step`, `instruction_cycle_cost` and the last few cycles
-         before a cycle limit run on them.
+         micro-address `upc`.  Traced runs, the barrel's `tick`, `step`,
+         `instruction_cycle_cost` and the last few cycles before a cycle
+         limit run on them.
   loop   one function (`_loop_source`) runs whole instructions with the
          registers in locals: each instruction is the rows from Fetch
          inline, every condition row an `if`.  Untraced runs (`advance`
@@ -406,13 +406,13 @@ def advance(state: CoreState, mem, max_cycles: int, log: list | None = None) -> 
     """Step `state` on the cell store `mem` until it enters the halt row or
     its cycle count reaches `max_cycles`; True when it halted.
 
-    This is the one core loop: `run` and the private and tagged barrel both
-    drive it.  With a `log`, the state's snapshot is appended before every
-    step, and every step is one generated row function.  Without one, rows
-    run up to the first Fetch (from reset, the reset row alone), then the
-    generated instruction loop runs whole instructions while the costliest
-    one (`WORST` rows) still fits under `max_cycles`, and rows run the
-    rest: the same states, cycle for cycle.
+    This is the one core loop: `run` and the barrel's `run_all`, in every
+    memory mode, drive it.  With a `log`, the state's snapshot is appended
+    before every step, and every step is one generated row function.
+    Without one, rows run up to the first Fetch (from reset, the reset row
+    alone), then the generated instruction loop runs whole instructions
+    while the costliest one (`WORST` rows) still fits under `max_cycles`,
+    and rows run the rest: the same states, cycle for cycle.
     """
     table = _STEP_TABLE
     if log is None:

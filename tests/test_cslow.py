@@ -12,6 +12,7 @@ from cslowsim.cslow import (
     CslowMachine,
     ImageMismatch,
     MemoryMode,
+    RunMetrics,
     Sweep,
     compare,
     machine_report,
@@ -19,8 +20,15 @@ from cslowsim.cslow import (
     sequential_baseline,
     write_bundle,
 )
-from cslowsim.isa import MemoryImage, assemble, assemble_program
-from cslowsim.microcode import CycleLimitExceeded, format_trace, run
+from cslowsim.isa import MEMORY_SIZE, MemoryImage, assemble, assemble_program
+from cslowsim.microcode import (
+    MICROPROGRAM,
+    CoreState,
+    CycleLimitExceeded,
+    format_trace,
+    run,
+    step,
+)
 
 
 def asm(text):
@@ -58,6 +66,8 @@ def test_round_robin_schedule():
         for t in range(3):
             assert after[t] - before[t] == (1 if t == scheduled else 0)
     assert machine.fast_cycles == 12
+    with pytest.raises(ValueError):
+        machine.run_all()  # runs from reset only
 
 
 def test_halted_thread_burns_idle_slots():
@@ -174,6 +184,40 @@ def test_shared_mode_deterministic_serialization():
     assert shared_x == 2
 
 
+class RecordingMemory:
+    """A 256-cell store that counts the reads and writes made to it."""
+
+    def __init__(self, cells):
+        self.cells = bytearray(cells)
+        self.reads = self.writes = 0
+
+    def __getitem__(self, addr):
+        self.reads += 1
+        return self.cells[addr]
+
+    def __setitem__(self, addr, value):
+        self.writes += 1
+        self.cells[addr] = value
+
+
+def test_no_row_reads_and_writes_memory():
+    # Shared memory's lock-step copies rest on this rule (see `cslow`).
+    rng = random.Random(11)
+    seen = set()
+    for upc in range(len(MICROPROGRAM.rows)):
+        for _ in range(16):
+            state = CoreState()
+            state.pc, state.a, state.mar, state.ir, state.buffer = (
+                rng.randrange(256) for _ in range(5))
+            state.z, state.c = rng.randrange(2), rng.randrange(2)
+            state.micro_pc = upc
+            mem = RecordingMemory(rng.randbytes(MEMORY_SIZE))
+            step(state, mem)
+            assert not (mem.reads and mem.writes), upc
+            seen.add((mem.reads > 0, mem.writes > 0))
+    assert seen == {(False, False), (True, False), (False, True)}
+
+
 def test_shared_c1_matches_baseline():
     asmres = assemble_program("LOAD X\nINCA\nSTO X\nHALT\nX: .word 1")
     machine = CslowMachine(CslowConfig(1, MemoryMode.SHARED), [asmres.image])
@@ -240,7 +284,11 @@ def test_machine_does_not_mutate_caller_images():
 
 
 def tick_oracle(config, images, trace):
-    """Drive `tick` by hand: (machine, threads left running at the limit)."""
+    """Drive `tick` by hand: (machine, threads left running at the limit).
+    Shared memory has its own reference, since ticking the machine would
+    check its per-thread copies against themselves."""
+    if config.mode is MemoryMode.SHARED:
+        return shared_oracle(config, images[0], trace)
     machine = CslowMachine(config, images)
     if trace:
         machine.enable_tracing()
@@ -249,6 +297,45 @@ def tick_oracle(config, images, trace):
             return machine, [t for t, h in enumerate(machine.halt_cycle) if h is None]
         machine.tick()
     return machine, []
+
+
+class SharedReference:
+    """Shared memory without the machine: C CoreStates stepped round-robin,
+    one row per fast cycle, over one bytearray."""
+
+    def __init__(self, config, image, trace):
+        self.c = config.c
+        self.fast_cycles = 0
+        self.halt_cycle = [None] * self.c
+        self.contexts = [CoreState() for _ in range(self.c)]
+        self.traces = [[] for _ in range(self.c)] if trace else None
+        self.memory = bytearray(image.cells)
+
+    def thread_memory(self, thread):
+        return MemoryImage(self.memory)
+
+    def metrics(self):
+        total = self.fast_cycles
+        busy = sum(self.halt_cycle)
+        return RunMetrics(list(self.halt_cycle), max(self.halt_cycle), total,
+                          Fraction(busy, total), Fraction(total - busy, total))
+
+
+def shared_oracle(config, image, trace):
+    """`tick_oracle` for shared memory: (reference, threads left running)."""
+    ref = SharedReference(config, image, trace)
+    while None in ref.halt_cycle:
+        if ref.fast_cycles >= config.max_fast_cycles:
+            return ref, [t for t, h in enumerate(ref.halt_cycle) if h is None]
+        t = ref.fast_cycles % ref.c
+        ctx = ref.contexts[t]
+        if trace:
+            ref.traces[t].append(ctx.snapshot())
+        step(ctx, ref.memory)
+        if ctx.halted and ref.halt_cycle[t] is None:
+            ref.halt_cycle[t] = ctx.cycles
+        ref.fast_cycles += 1
+    return ref, []
 
 
 def outcome(call):
@@ -268,12 +355,14 @@ def assert_same_machine(machine, ref):
         assert machine.thread_memory(t) == ref.thread_memory(t)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=8),
-       mode=st.sampled_from([MemoryMode.PRIVATE, MemoryMode.TAGGED]),
-       trace=st.booleans())
-def test_run_all_matches_tick_loop(seeds, mode, trace):
+       mode=st.sampled_from(list(MemoryMode)),
+       trace=st.booleans(), cut=st.integers(0, 1000))
+def test_run_all_matches_tick_loop(seeds, mode, trace, cut):
     images = [asm(genprog.random_halting_program(random.Random(s))) for s in seeds]
+    if mode is MemoryMode.SHARED:  # one program, a copy per thread
+        images = images[:1] * len(images)
     c = len(images)
     ref, stuck = tick_oracle(CslowConfig(c, mode), images, trace)
     assert stuck == []
@@ -302,6 +391,14 @@ def test_run_all_matches_tick_loop(seeds, mode, trace):
         assert row == outcome(lambda: compare(images[:n], n, mode, total - 1))
     assert row == stuck
 
+    # A limit anywhere in the run (`cut` thousandths of the way) stops, or
+    # passes, as the tick loop does.
+    mid = CslowConfig(c, mode, 1 + cut * (total - 1) // 1000)
+    ref, stuck = tick_oracle(mid, images, trace)
+    machine = CslowMachine(mid, images)
+    assert outcome(lambda: machine.run_all(trace=trace)) == (stuck or ref.metrics())
+    assert_same_machine(machine, ref)
+
     # `bench` rows: one `compare` per C, each as the tick loop has it.
     sweep = Sweep(images, mode)
     for n in range(1, c + 1):
@@ -311,3 +408,20 @@ def test_run_all_matches_tick_loop(seeds, mode, trace):
         expected = CompareResult(seq, rounds, ref.fast_cycles, Fraction(seq, rounds))
         assert compare(images[:n], n, mode) == expected
         assert sweep.compare(n) == expected
+
+
+def test_shared_run_at_every_limit():
+    # Thread 0 runs a step ahead of the others for most of each round, so
+    # its copy must be the shared store wherever a limit falls; the loop
+    # also stores into its own ADD's operand.
+    image = asm("L: LOAD X\nADD Y\nSTO X\nSTO 3\nLOAD N\nSUB ONE\nSTO N\n"
+                "JOZ E\nJOC L\nE: HALT\nX: .word 3\nY: .word 7\nN: .word 2\n"
+                "ONE: .word 1")
+    total = shared_oracle(CslowConfig(3, MemoryMode.SHARED), image, False)[0].fast_cycles
+    for limit in range(1, total + 2):
+        config = CslowConfig(3, MemoryMode.SHARED, limit)
+        trace = limit % 2 == 0
+        ref, stuck = shared_oracle(config, image, trace)
+        machine = CslowMachine(config, [image])
+        assert outcome(lambda: machine.run_all(trace=trace)) == (stuck or ref.metrics())
+        assert_same_machine(machine, ref)

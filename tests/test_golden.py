@@ -5,8 +5,10 @@ code, stdout, stderr and every file it wrote.  The digests were taken
 before the control store became generated code, so any change to a report,
 a trace file or a `bench` table shows up here as a named case.  The
 cycle-limit cases were added, with their digests, before untraced runs moved
-to the whole-instruction loop.  Regenerate with `PYTHONPATH=src python
-tests/test_golden.py` only for an intended change of the output format.
+to the whole-instruction loop, and the last four shared-memory cases before
+shared memory moved from the tick loop to per-thread lock-step copies.
+Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
+intended change of the output format.
 """
 
 import contextlib
@@ -66,6 +68,19 @@ def cases():
             yield ("bench %s --max-cycles %d" % (mode, limit),
                    ["bench", *[p + ".asm" for p in PROGRAMS], "--mode", mode,
                     "--max-cycles", str(limit), "--json", "bench.json"])
+    # Shared memory from one image at C=3 (memloop halts on its 263rd cycle,
+    # so the run takes 789 fast cycles; 787 stops threads 1 and 2 in the
+    # halting round), and bench rows stopped as above.
+    yield ("run-cslow shared 1 image C=3",
+           ["run-cslow", "memloop.hex", "--c", "3", "--mode", "shared",
+            "--trace", "tp"])
+    yield ("run-cslow shared C=3 --max-cycles 787",
+           ["run-cslow", "memloop.hex", "--c", "3", "--mode", "shared",
+            "--max-cycles", "787"])
+    for limit in (1, 13):
+        yield ("bench shared --max-cycles %d" % limit,
+               ["bench", *["memloop.asm"] * 3, "--mode", "shared",
+                "--max-cycles", str(limit), "--json", "bench.json"])
 
 
 def digests(workdir):
@@ -142,6 +157,14 @@ GOLDEN = {
     "bench tagged --max-cycles 1":
         "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
     "bench tagged --max-cycles 13":
+        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+    "run-cslow shared 1 image C=3":
+        "97a8c2523dedeabe6abce14f415b53d61ad6909f72fa07e139cc23980a95deae",
+    "run-cslow shared C=3 --max-cycles 787":
+        "ae570d5a2ac8cf5a7f2fe258aa105ea917cac6be5532ef2fe95085491914a93b",
+    "bench shared --max-cycles 1":
+        "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
+    "bench shared --max-cycles 13":
         "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
 }
 
