@@ -39,7 +39,11 @@ _INPUT_ERRORS = (
 
 
 def _default_seed():
-    return int(os.environ.get("CSLOW_SEED", "0"))
+    value = os.environ.get("CSLOW_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("CSLOW_SEED must be an integer, got %r" % value) from None
 
 
 def _print_json(doc):
@@ -66,9 +70,7 @@ def cmd_asm(args) -> int:
 
 def _run_report(images, config, trace_paths=None):
     machine = cslow.CslowMachine(config, images)
-    if trace_paths:
-        machine.enable_tracing()
-    machine.run_all()
+    machine.run_all(trace=bool(trace_paths))
     if trace_paths:
         for path, log in zip(trace_paths, machine.traces):
             microcode.write_trace(path, log)
@@ -179,7 +181,7 @@ def cmd_retime(args) -> int:
 
     verdict = None
     warmup = None
-    if args.check:
+    if args.check is not None:
         verdict = "PASS"
         for kind, base, transformed, extra in checks:
             if kind == "interleaved":
@@ -266,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except microcode.CycleLimitExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -7,8 +7,9 @@ in three sharing classes:
   private  each thread owns a full 256-word image
   shared   one 256-word image visible to every thread
   tagged   one physical store of C*256 words; thread t's access to `addr`
-           lands in cell t*256 + addr (address-space partitioning by
-           thread id)
+           lands in cell t*256 + addr.  Addresses are 8-bit, so the
+           partitions never overlap: it runs as per-thread copies, exactly
+           like private memory.
 
 Halted threads stay in the schedule and burn their slots on the halt
 self-loop; those slots are the vertical waste reported in RunMetrics.
@@ -34,7 +35,9 @@ the shared store, also when a cycle limit stops the run.
 So `run_all` runs each thread to its halt, or to its last slot under the
 limit, on its own memory through `microcode.advance`: untraced, whole
 instructions at a time in the generated instruction loop; traced, one row
-per step, logged.  `tick` is the reference it is tested against.
+per step, logged.  The reference it is tested against, in
+`tests/test_cslow.py`, steps C cores round-robin, one row per fast cycle,
+over one store per thread (shared memory: one store for all).
 """
 
 from __future__ import annotations
@@ -44,14 +47,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .isa import MEMORY_SIZE, MemoryImage
-from .microcode import (
-    HALT_SEQ,
-    CoreState,
-    CycleLimitExceeded,
-    _STEP_TABLE,
-    advance,
-    run,
-)
+from .microcode import CoreState, CycleLimitExceeded, advance, run
 
 MAX_THREADS = 8
 DEFAULT_MAX_FAST_CYCLES = 1_000_000
@@ -87,77 +83,45 @@ class RunMetrics:
     vertical_waste: Fraction
 
 
-class TaggedMemory:
-    """One physical store of C*256 bytes, partitioned by thread id."""
-
-    def __init__(self, c):
-        self.c = c
-        self.store = bytearray(c * MEMORY_SIZE)
-
-    def install(self, thread, image):
-        base = thread * MEMORY_SIZE
-        self.store[base:base + MEMORY_SIZE] = image.cells
-
-    def view(self, thread):
-        base = thread * MEMORY_SIZE
-        return memoryview(self.store)[base:base + MEMORY_SIZE]
-
-    def image(self, thread) -> MemoryImage:
-        base = thread * MEMORY_SIZE
-        return MemoryImage(self.store[base:base + MEMORY_SIZE])
+def _thread_images(c: int, mode: MemoryMode, images) -> list:
+    """The image each of `c` threads starts from (no copies made), or
+    BadThreadCount / ImageMismatch for a thread count or image list the
+    machine does not take."""
+    if not 1 <= c <= MAX_THREADS:
+        raise BadThreadCount("thread count %r outside [1, %d]" % (c, MAX_THREADS))
+    images = list(images)
+    if mode is MemoryMode.SHARED:
+        if len(images) not in (1, c):
+            raise BadThreadCount(
+                "shared mode takes 1 image or %d identical, got %d" % (c, len(images)))
+        for i, img in enumerate(images[1:], start=1):
+            if img.cells != images[0].cells:
+                raise ImageMismatch(
+                    "shared memory needs one image; image %d differs from image 0" % i)
+        images = images[:1] * c  # lock-step copies: see the module docstring
+    if len(images) != c:
+        raise BadThreadCount("expected %d images, got %d" % (c, len(images)))
+    return images
 
 
 class CslowMachine:
-    """C replicated CoreStates advanced round-robin over a shared datapath."""
+    """C replicated CoreStates on the round-robin schedule, each run alone
+    on its own copy of its image."""
 
     def __init__(self, config: CslowConfig, images):
-        c = config.c
-        if not 1 <= c <= MAX_THREADS:
-            raise BadThreadCount("thread count %r outside [1, %d]" % (c, MAX_THREADS))
-        images = list(images)
-
-        if config.mode is MemoryMode.SHARED:
-            if len(images) not in (1, c):
-                raise BadThreadCount(
-                    "shared mode takes 1 image or %d identical, got %d" % (c, len(images)))
-            for i, img in enumerate(images[1:], start=1):
-                if img.cells != images[0].cells:
-                    raise ImageMismatch(
-                        "shared memory needs one image; image %d differs from image 0" % i)
-            images = images[:1] * c  # lock-step copies: see the module docstring
-        if len(images) != c:
-            raise BadThreadCount("expected %d images, got %d" % (c, len(images)))
-        if config.mode is MemoryMode.TAGGED:
-            tagged = TaggedMemory(c)
-            for t, img in enumerate(images):
-                tagged.install(t, img)
-            self._memories = [tagged]
-            self._views = [tagged.view(t) for t in range(c)]
-        else:
-            copies = [img.copy() for img in images]
-            self._memories = copies
-            self._views = [m.cells for m in copies]
+        images = _thread_images(config.c, config.mode, images)
+        self._memories = [img.copy() for img in images]
         self._initial = [img.copy() for img in images]
-
         self.config = config
-        self.c = c
-        self.contexts = [CoreState() for _ in range(c)]
+        self.c = config.c
+        self.contexts = [CoreState() for _ in range(self.c)]
         self.fast_cycles = 0
-        self.halt_cycle = [None] * c
+        self.halt_cycle = [None] * self.c
         self.traces = None
-
-    @property
-    def thread_counter(self):
-        return self.fast_cycles % self.c
-
-    def enable_tracing(self):
-        self.traces = [[] for _ in range(self.c)]
 
     def thread_memory(self, thread) -> MemoryImage:
         """Snapshot of the memory as thread `thread` sees it.  The shared
         store is thread 0's copy, the one furthest ahead."""
-        if self.config.mode is MemoryMode.TAGGED:
-            return self._memories[0].image(thread)
         if self.config.mode is MemoryMode.SHARED:
             thread = 0
         return self._memories[thread].copy()
@@ -165,43 +129,33 @@ class CslowMachine:
     def initial_image(self, thread) -> MemoryImage:
         return self._initial[thread]
 
-    def tick(self):
-        """Advance one fast-clock cycle: exactly one micro-step of the
-        scheduled thread (the halt row when it has already halted)."""
-        t = self.fast_cycles % self.c
-        ctx = self.contexts[t]
-        if self.traces is not None:
-            self.traces[t].append(ctx.snapshot())
-        _STEP_TABLE[ctx.micro_pc](ctx, self._views[t])
-        if ctx.micro_pc == HALT_SEQ and self.halt_cycle[t] is None:
-            self.halt_cycle[t] = ctx.cycles
-        self.fast_cycles += 1
-
     def run_all(self, trace: bool = False) -> RunMetrics:
         """Run from reset until every thread has halted; stops at the fast
-        cycle that halts the last one, in the state `tick` would reach there.
+        cycle that halts the last one, in the state the round-robin
+        schedule reaches there.  With `trace`, `traces[t]` logs thread t's
+        state before each of its slots.
 
         Each thread runs alone on its memory for the slots the schedule
         gives it within the limit; then every thread that halted sits on the
         halt row, its traces padded, up to the end of the run.  Raises
         CycleLimitExceeded, naming the threads still running and carrying
         their states, when that takes more than `max_fast_cycles` fast
-        cycles, and ValueError on a machine already advanced by `tick`.
+        cycles, and ValueError on a machine that has already run.
         """
         if self.fast_cycles:
-            raise ValueError("run_all needs a machine at reset")
-        if trace and self.traces is None:
-            self.enable_tracing()
+            raise ValueError("run_all runs a machine once, from reset")
         c = self.c
         limit = self.config.max_fast_cycles
+        if trace:
+            self.traces = [[] for _ in range(c)]
         logs = self.traces or [None] * c
         stuck = []
         for t, ctx in enumerate(self.contexts):
-            if advance(ctx, self._views[t], slots(limit, t, c), logs[t]):
+            if advance(ctx, self._memories[t].cells, slots(limit, t, c), logs[t]):
                 self.halt_cycle[t] = ctx.cycles
             else:
                 stuck.append(t)
-        if stuck:  # ticking stops at the limit, or at once below 1
+        if stuck:  # the schedule stops at the limit, or at once below 1
             total = max(limit, 0)
         else:
             total = independent_metrics(self.halt_cycle).fast_cycles_total
@@ -294,9 +248,9 @@ def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
 class Sweep:
     """`compare` on the first C images, for one thread count C after another.
 
-    In private and tagged mode each image runs at most once, on the plain
-    core, when the first row that needs it comes up, and every row is the
-    closed form of those runs.
+    Thread t's image runs at most once, on the plain core, when the first
+    row with a thread t comes up, and every row is the closed form of those
+    runs.
     """
 
     def __init__(self, images, mode: MemoryMode = MemoryMode.PRIVATE,
@@ -304,19 +258,18 @@ class Sweep:
         self.images = list(images)
         self.mode = mode
         self.max_cycles = max_cycles
-        self._halts = []  # image t's cycles to halt; None: not within its budget
+        self._halts = []  # thread t's cycles to halt; None: not within its budget
 
     def compare(self, c: int) -> CompareResult:
         row = self.images[:c]
-        if self.mode is not MemoryMode.SHARED and 1 <= c <= MAX_THREADS and len(row) == c:
-            budgets = [slots(self.max_cycles, t, c) for t in range(c)]
-            for t in range(len(self._halts), c):
-                self._halts.append(_cycles_to_halt(row[t], budgets[t]))
-            cycles = self._halts[:c]
-            if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
-                return _compare_result(sum(cycles), independent_metrics(cycles))
-        # Shared memory, a bad thread count or a thread over its budget: the
-        # machine gives the row, or raises with the stuck threads' states.
+        threads = _thread_images(c, self.mode, row)
+        budgets = [slots(self.max_cycles, t, c) for t in range(c)]
+        for t in range(len(self._halts), c):
+            self._halts.append(_cycles_to_halt(threads[t], budgets[t]))
+        cycles = self._halts[:c]
+        if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
+            return _compare_result(sum(cycles[:len(row)]), independent_metrics(cycles))
+        # A thread over its budget: the machine raises with its state.
         return compare(row, c, self.mode, self.max_cycles)
 
 

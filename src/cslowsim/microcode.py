@@ -11,7 +11,7 @@ Rows execute as generated code, built at import from one table of transfers
 
   rows   each control-store row is one straight-line Python function
          (`_row_source`); `_STEP_TABLE[upc]` is the function for
-         micro-address `upc`.  Traced runs, the barrel's `tick`, `step`,
+         micro-address `upc`.  Traced runs, `step`,
          `instruction_cycle_cost` and the last few cycles before a cycle
          limit run on them.
   loop   one function (`_loop_source`) runs whole instructions with the

@@ -288,6 +288,8 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if cycles < 1:
+        raise ValueError("need at least one cycle")
     _check_interfaces(a, b)
     if warmup is None:
         warmup = flush_warmup(a, b)
@@ -313,6 +315,8 @@ def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,
     of a with the slots side by side in `factor * trials` lanes."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if cycles < 1:
+        raise ValueError("need at least one cycle")
     if factor < 1:
         raise BadC("slowdown factor must be >= 1, got %r" % factor)
     _check_interfaces(a, b)

@@ -141,8 +141,7 @@ def test_criterion_3_thread_isolation(random_programs):
                 machine = CslowMachine(
                     CslowConfig(c, mode, 10_000_000),
                     [images[i] for i in group])
-                machine.enable_tracing()
-                metrics = machine.run_all()
+                metrics = machine.run_all(trace=True)
                 for slot, prog in enumerate(group):
                     base = baselines[prog]
                     assert metrics.per_thread_cycles[slot] == base.cycles

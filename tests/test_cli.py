@@ -247,6 +247,47 @@ def test_seed_env_var(tmp_path, corpus_programs, capsys, monkeypatch):
     assert json.loads(report_path.read_text())["seed"] == 17
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_bad_seed_env_var_is_usage_error(tmp_path, corpus_programs, capsys,
+                                         monkeypatch, value):
+    from conftest import CORPUS
+    monkeypatch.setenv("CSLOW_SEED", value)
+    for argv in (["bench", str(corpus_programs[0])],
+                 ["retime", str(CORPUS / "circuits" / "ring.net")]):
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: CSLOW_SEED must be an integer, got %r\n" % value
+    # --seed wins, and subcommands without one never read the variable
+    code, _, _ = run_cli(capsys, ["bench", str(corpus_programs[0]), "--seed", "3"])
+    assert code == 0
+    code, _, _ = run_cli(capsys, ["asm", str(corpus_programs[0]),
+                                  str(tmp_path / "o.hex")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--check", "0"], ["--check", "-1"], ["--check", "5", "--cycles", "0"],
+    ["--check", "5", "--cycles", "-3"],
+    ["--cslow", "2", "--check", "5", "--cycles", "0"]])
+def test_retime_vacuous_check_is_usage_error(capsys, flags):
+    from conftest import CORPUS
+    code, stdout, stderr = run_cli(
+        capsys, ["retime", str(CORPUS / "circuits" / "ring.net"), *flags])
+    assert (code, stdout) == (1, "")
+    assert stderr in ("error: need at least one trial\n",
+                      "error: need at least one cycle\n")
+
+
+def test_bench_shared_needs_one_image(corpus_programs, capsys):
+    code, stdout, stderr = run_cli(
+        capsys, ["bench", *map(str, corpus_programs[:2]), "--mode", "shared"])
+    assert code == 1
+    assert stdout == ("n_threads sequential_sum cslow_rounds fast_cycles speedup\n"
+                      "        1             78           78          78   1.000\n")
+    assert stderr == ("error: shared memory needs one image; "
+                      "image 1 differs from image 0\n")
+
+
 def test_reports_byte_reproducible(tmp_path, corpus_programs, capsys):
     args = ["bench", *map(str, corpus_programs)]
     out1 = run_cli(capsys, args)[1]

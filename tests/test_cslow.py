@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genprog
+from cslowsim import cslow
 from cslowsim.cslow import (
+    MAX_THREADS,
     BadThreadCount,
     CompareResult,
     CslowConfig,
@@ -50,24 +52,25 @@ def test_new_machine_validation():
     CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img])
     CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img, img.copy()])
     m = CslowMachine(CslowConfig(3, MemoryMode.PRIVATE), [img, other, img])
-    assert m.thread_counter == 0
     assert all(ctx.micro_pc == 0 for ctx in m.contexts)
 
 
 def test_round_robin_schedule():
     imgs = [asm("L: INCA\nJOZ L\nHALT")] * 3
-    machine = CslowMachine(CslowConfig(3), imgs)
+    ref = RoundRobin(CslowConfig(3), imgs, False)
     for tick in range(12):
-        scheduled = machine.thread_counter
-        assert scheduled == tick % 3
-        before = [ctx.cycles for ctx in machine.contexts]
-        machine.tick()
-        after = [ctx.cycles for ctx in machine.contexts]
+        before = [ctx.cycles for ctx in ref.contexts]
+        ref.tick()
+        after = [ctx.cycles for ctx in ref.contexts]
         for t in range(3):
-            assert after[t] - before[t] == (1 if t == scheduled else 0)
-    assert machine.fast_cycles == 12
+            assert after[t] - before[t] == (1 if t == tick % 3 else 0)
+    assert ref.fast_cycles == 12
+    machine = CslowMachine(CslowConfig(3, max_fast_cycles=12), imgs)
+    with pytest.raises(CycleLimitExceeded):
+        machine.run_all()
+    assert_same_machine(machine, ref)
     with pytest.raises(ValueError):
-        machine.run_all()  # runs from reset only
+        machine.run_all()  # a machine runs once
 
 
 def test_halted_thread_burns_idle_slots():
@@ -88,9 +91,7 @@ def test_tagged_mode_partitions_address_space():
     idle = asm("HALT")
     machine = CslowMachine(CslowConfig(2, MemoryMode.TAGGED), [idle, writer.image])
     machine.run_all()
-    # physical cell 256+target written, thread 0's copy untouched
-    assert machine._memories[0].store[256 + target] == 0xAB
-    assert machine._memories[0].store[target] == idle[target]
+    # thread 1's partition written, thread 0's untouched
     assert machine.thread_memory(1)[target] == 0xAB
     assert machine.thread_memory(0)[target] == 0
 
@@ -283,36 +284,34 @@ def test_machine_does_not_mutate_caller_images():
         assert bytes(img.cells) == before
 
 
-def tick_oracle(config, images, trace):
-    """Drive `tick` by hand: (machine, threads left running at the limit).
-    Shared memory has its own reference, since ticking the machine would
-    check its per-thread copies against themselves."""
-    if config.mode is MemoryMode.SHARED:
-        return shared_oracle(config, images[0], trace)
-    machine = CslowMachine(config, images)
-    if trace:
-        machine.enable_tracing()
-    while None in machine.halt_cycle:
-        if machine.fast_cycles >= config.max_fast_cycles:
-            return machine, [t for t, h in enumerate(machine.halt_cycle) if h is None]
-        machine.tick()
-    return machine, []
+class RoundRobin:
+    """The barrel without the machine: C CoreStates stepped round-robin, one
+    row per fast cycle, thread t on stores[t].  Shared memory is one
+    bytearray aliased C times; private and tagged memory, one per thread."""
 
-
-class SharedReference:
-    """Shared memory without the machine: C CoreStates stepped round-robin,
-    one row per fast cycle, over one bytearray."""
-
-    def __init__(self, config, image, trace):
+    def __init__(self, config, images, trace):
         self.c = config.c
+        if config.mode is MemoryMode.SHARED:
+            self.stores = [bytearray(images[0].cells)] * self.c
+        else:
+            self.stores = [bytearray(img.cells) for img in images]
         self.fast_cycles = 0
         self.halt_cycle = [None] * self.c
         self.contexts = [CoreState() for _ in range(self.c)]
         self.traces = [[] for _ in range(self.c)] if trace else None
-        self.memory = bytearray(image.cells)
+
+    def tick(self):
+        t = self.fast_cycles % self.c
+        ctx = self.contexts[t]
+        if self.traces is not None:
+            self.traces[t].append(ctx.snapshot())
+        step(ctx, self.stores[t])
+        if ctx.halted and self.halt_cycle[t] is None:
+            self.halt_cycle[t] = ctx.cycles
+        self.fast_cycles += 1
 
     def thread_memory(self, thread):
-        return MemoryImage(self.memory)
+        return MemoryImage(self.stores[thread])
 
     def metrics(self):
         total = self.fast_cycles
@@ -321,20 +320,14 @@ class SharedReference:
                           Fraction(busy, total), Fraction(total - busy, total))
 
 
-def shared_oracle(config, image, trace):
-    """`tick_oracle` for shared memory: (reference, threads left running)."""
-    ref = SharedReference(config, image, trace)
+def tick_oracle(config, images, trace):
+    """Tick a RoundRobin until every thread halts or the limit is reached:
+    (reference, threads left running)."""
+    ref = RoundRobin(config, images, trace)
     while None in ref.halt_cycle:
         if ref.fast_cycles >= config.max_fast_cycles:
             return ref, [t for t, h in enumerate(ref.halt_cycle) if h is None]
-        t = ref.fast_cycles % ref.c
-        ctx = ref.contexts[t]
-        if trace:
-            ref.traces[t].append(ctx.snapshot())
-        step(ctx, ref.memory)
-        if ctx.halted and ref.halt_cycle[t] is None:
-            ref.halt_cycle[t] = ctx.cycles
-        ref.fast_cycles += 1
+        ref.tick()
     return ref, []
 
 
@@ -417,11 +410,29 @@ def test_shared_run_at_every_limit():
     image = asm("L: LOAD X\nADD Y\nSTO X\nSTO 3\nLOAD N\nSUB ONE\nSTO N\n"
                 "JOZ E\nJOC L\nE: HALT\nX: .word 3\nY: .word 7\nN: .word 2\n"
                 "ONE: .word 1")
-    total = shared_oracle(CslowConfig(3, MemoryMode.SHARED), image, False)[0].fast_cycles
+    total = tick_oracle(CslowConfig(3, MemoryMode.SHARED), [image], False)[0].fast_cycles
     for limit in range(1, total + 2):
         config = CslowConfig(3, MemoryMode.SHARED, limit)
         trace = limit % 2 == 0
-        ref, stuck = shared_oracle(config, image, trace)
+        ref, stuck = tick_oracle(config, [image], trace)
         machine = CslowMachine(config, [image])
         assert outcome(lambda: machine.run_all(trace=trace)) == (stuck or ref.metrics())
         assert_same_machine(machine, ref)
+
+
+@pytest.mark.parametrize("mode", list(MemoryMode))
+def test_sweep_runs_each_thread_once(mode, monkeypatch):
+    rng = random.Random(13)
+    images = [asm(genprog.random_halting_program(rng)) for _ in range(MAX_THREADS)]
+    if mode is MemoryMode.SHARED:
+        images = images[:1] * MAX_THREADS
+    runs = []
+    for name in ("run", "advance"):
+        def counted(*args, _name=name, _real=getattr(cslow, name), **kwargs):
+            runs.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cslow, name, counted)
+    sweep = Sweep(images, mode)
+    for c in range(1, MAX_THREADS + 1):
+        sweep.compare(c)
+    assert len(runs) == MAX_THREADS

@@ -5,8 +5,9 @@ code, stdout, stderr and every file it wrote.  The digests were taken
 before the control store became generated code, so any change to a report,
 a trace file or a `bench` table shows up here as a named case.  The
 cycle-limit cases were added, with their digests, before untraced runs moved
-to the whole-instruction loop, and the last four shared-memory cases before
-shared memory moved from the tick loop to per-thread lock-step copies.
+to the whole-instruction loop, the four shared-memory cases after them before
+shared memory moved from the tick loop to per-thread lock-step copies, and
+the `retime` cases before the barrel machine lost its tick loop.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """
@@ -23,7 +24,8 @@ from pathlib import Path
 from cslowsim import cli
 
 PROGRAMS = ("chain", "countdown", "memloop")
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "programs"
+CIRCUITS = ("chain", "ring", "toggle")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _invoke(argv):
@@ -41,8 +43,8 @@ def _invoke(argv):
 
 def cases():
     """(name, argv) pairs, run in order in a directory holding the corpus
-    sources and their images `<name>.hex`.  Shared memory needs one image,
-    so its cases repeat `memloop`."""
+    sources, their images `<name>.hex` and the corpus netlists `<name>.net`.
+    Shared memory needs one image, so its cases repeat `memloop`."""
     for p in PROGRAMS:
         yield "asm %s" % p, ["asm", p + ".asm", "listing.hex"]
         yield "run %s" % p, ["run", p + ".hex", "--trace", "trace.txt"]
@@ -81,6 +83,15 @@ def cases():
         yield ("bench shared --max-cycles %d" % limit,
                ["bench", *["memloop.asm"] * 3, "--mode", "shared",
                 "--max-cycles", str(limit), "--json", "bench.json"])
+    # `retime`: every transform the CLI offers, checked, on netlists where
+    # it is right, and the refusal to pipeline a loop (exit 1).
+    for net in ("ring", "toggle"):
+        yield ("retime %s --cslow 3 --check 20" % net,
+               ["retime", net + ".net", "--cslow", "3", "--check", "20"])
+    yield ("retime chain --pipeline 2 --check 20",
+           ["retime", "chain.net", "--pipeline", "2", "--check", "20"])
+    yield "retime ring --check 20", ["retime", "ring.net", "--check", "20"]
+    yield "retime ring --pipeline 2", ["retime", "ring.net", "--pipeline", "2"]
 
 
 def digests(workdir):
@@ -88,8 +99,10 @@ def digests(workdir):
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
+        for n in CIRCUITS:
+            shutil.copy(CORPUS / "circuits" / (n + ".net"), n + ".net")
         for p in PROGRAMS:
-            shutil.copy(CORPUS / (p + ".asm"), p + ".asm")
+            shutil.copy(CORPUS / "programs" / (p + ".asm"), p + ".asm")
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["asm", p + ".asm", p + ".hex"]) == 0
         return {name: _invoke(argv) for name, argv in cases()}
@@ -166,6 +179,16 @@ GOLDEN = {
         "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
     "bench shared --max-cycles 13":
         "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+    "retime ring --cslow 3 --check 20":
+        "b0ab0f68b6b0b5a5613e7463cd3cf8be13df133397cd04f9a1274ca05fb0e260",
+    "retime toggle --cslow 3 --check 20":
+        "f4e70cce353c4f5c9d4372cd97ddedef80dde236e4d93be8a822bbe9057cc550",
+    "retime chain --pipeline 2 --check 20":
+        "12641cd7a05c95907cdd48d0ca0bf4aa030faa47a298b3afba3d41406c400678",
+    "retime ring --check 20":
+        "56e17dfc091542bdd889b8736e23806595c2be601961e12e3ea00af8b4888c8f",
+    "retime ring --pipeline 2":
+        "387d2dec8d285a72fed8d241490aba55bf8f0b8406a8a5a1b1c27afad523faa5",
 }
 
 

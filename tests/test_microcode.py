@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import genprog
 import refisa
 import refmicro
-from cslowsim.cslow import TaggedMemory
-from cslowsim.isa import ENCODING, MemoryImage, Mnemonic, assemble, assemble_program
+from cslowsim.isa import (
+    ENCODING, MEMORY_SIZE, MemoryImage, Mnemonic, assemble, assemble_program)
 from cslowsim.microcode import (
     _STEP_TABLE,
     FETCH,
@@ -322,10 +322,8 @@ def test_untraced_advance_matches_rows(cells, tagged, data):
         ref, ref_mem = CoreState(), bytearray(cells)
         ref_halted = _step_rows(ref, ref_mem, limit)
         state = CoreState()
-        if tagged:  # the barrel's tagged store: a memoryview into thread 1's part
-            store = TaggedMemory(2)
-            store.install(1, MemoryImage(cells))
-            mem = store.view(1)
+        if tagged:  # a memoryview into the second part of a 512-cell store
+            mem = memoryview(bytearray(MEMORY_SIZE) + cells)[MEMORY_SIZE:]
         else:
             mem = bytearray(cells)
         halted = advance(state, mem, limit)
