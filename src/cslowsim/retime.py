@@ -9,13 +9,31 @@ Three transformations, all preserving the gate graph:
     netlist, then rebalance.  Adds exactly k cycles of latency.
   * Min-period retiming: integer lag r(v) per node, new edge weights
     w_r(e) = w(e) + r(head) - r(tail), all of which must stay >= 0.  Input
-    and output nodes keep lag 0, so external latency is preserved.  The
-    optimal period is found by building the all-pairs W (minimum register
-    count) and D (maximum delay along minimum-register paths) matrices,
-    binary-searching candidate periods over the distinct D values, and
-    testing each candidate as a difference-constraint system relaxed to a
-    fixed point (a surviving relaxation after |V| passes means a negative
-    cycle, i.e. infeasible).
+    and output nodes keep lag 0, so external latency is preserved.
+
+Min-period retiming is FEAS (Leiserson & Saxe, "Retiming synchronous
+circuitry", Algorithmica 1991) on the reversed graph, in O(V + E) memory.
+It works on s = -r and probes one period c at a time:
+
+  * Each pass raises s(v) by 1 wherever the longest register-free path
+    leaving v takes more than c.  The raise is forced: that path u ~> v
+    has the fewest registers W(u, v) of any, so the Leiserson-Saxe
+    constraint s(u) >= s(v) + 1 - W(u, v) applies.
+  * Host tie: io nodes stand for one host vertex, so if one is raised all
+    are, and so is every node with a register-free wire into a raised one.
+  * From below the answer, forced raises alone stop at the least s >= 0
+    with io nodes equal: the canonical lags, i.e. the greatest r <= 0
+    (the dense W/D relaxation from zero returns it too), shifted so io
+    lags read 0.
+  * Infeasibility: each raised node points at the end of the path that
+    forced it; one raised by the tie takes its puller's pointer.  A
+    pointer stands for constraints that were tight when it was set, over
+    values that only grow since, so a cycle of pointers is a positive
+    constraint cycle (as in Bellman-Ford's parent-graph check).  Since
+    the least s is below |V|, `max(s) >= |V|` is only a backstop.
+
+The search is binary over integer periods from the largest gate delay up;
+each feasible probe's s starts the smaller ones, whose least s is larger.
 
 Retiming moves registers across logic, so the retimed circuit may disagree
 with the original during a start-up transient; equivalence is checked by
@@ -28,8 +46,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .netlist import Netlist, NodeKind, critical_path, simulate
 
@@ -89,119 +105,99 @@ def apply_retiming(netlist: Netlist, r: Retiming) -> Netlist:
     return netlist.with_weights(retimed_weights(netlist, r))
 
 
-def _wd_matrices(netlist, index):
-    """All-pairs (W, D, reachable) via packed lexicographic shortest paths.
-
-    Edge cost w(e)*BIG - d(src) accumulates (path registers, path delay
-    excluding the destination); minimising it orders by fewest registers,
-    then most delay.  D adds the destination's own delay back in.
-    """
-    m = len(index)
-    d = np.array([netlist.nodes[name].delay for name in index], dtype=np.int64)
-    big = int(d.sum()) + 1
-    inf = np.int64(1) << 50
-    key = np.full((m, m), inf, dtype=np.int64)
-    np.fill_diagonal(key, 0)
-    pos = {name: i for i, name in enumerate(index)}
-    for e in netlist.edges:
-        u, v = pos[e.src], pos[e.dst]
-        cost = e.weight * big - int(d[u])
-        if cost < key[u, v]:
-            key[u, v] = cost
-    via = np.empty_like(key)
-    for k in range(m):
-        np.add(key[:, k:k + 1], key[k:k + 1, :], out=via)
-        np.minimum(key, via, out=key)
-    del via
-    reach = key < (np.int64(1) << 49)
-    w = key + (big - 1)
-    w //= big
-    dmat = w * big
-    dmat -= key
-    del key
-    dmat += d[np.newaxis, :]
-    return w, dmat, reach
-
-
-def _solve_constraints(m, u_arr, v_arr, b_arr):
-    """Feasible assignment for {r[u] - r[v] <= b}, or None.
-
-    All values start at 0 (implicit zero-weight source to every node) and
-    relax synchronously until stable; still changing after m+1 full passes
-    means a negative cycle.
-    """
-    dist = np.zeros(m, dtype=np.int64)
-    for _ in range(m + 2):
-        relaxed = dist.copy()
-        np.minimum.at(relaxed, u_arr, dist[v_arr] + b_arr)
-        if np.array_equal(relaxed, dist):
-            return dist
-        dist = relaxed
-    return None
-
-
 @dataclass
 class RetimeResult:
     retiming: Retiming
     period: int
 
 
+def _feas(delay, edges, hosts, c, start):
+    """Least s >= start meeting period c with io nodes equal, or None
+    when c is infeasible; see the module docstring."""
+    m = len(delay)
+    s = list(start)
+    parent = [-1] * m
+    while True:
+        into = [[] for _ in range(m)]  # register-free wires, by head
+        fanout = [0] * m
+        for u, v, w in edges:
+            if w + s[u] == s[v]:
+                into[v].append(u)
+                fanout[u] += 1
+        tail = [0] * m  # longest register-free delay after leaving the node
+        end = list(range(m))
+        order = [u for u in range(m) if not fanout[u]]
+        raised = []
+        for v in order:  # reverse topological; `order` grows as we go
+            depart = delay[v] + tail[v]
+            if depart > c:
+                raised.append(v)
+            for u in into[v]:
+                if depart > tail[u]:
+                    tail[u], end[u] = depart, end[v]
+                fanout[u] -= 1
+                if not fanout[u]:
+                    order.append(u)
+        if not raised:
+            return s
+        is_raised = [False] * m
+        for v in raised:
+            is_raised[v] = True
+            parent[v] = end[v]
+        tied = next((h for h in hosts if is_raised[h]), None)
+        if tied is not None:
+            pulled = [h for h in hosts if not is_raised[h]]
+            for v in pulled:  # `pulled` grows as we go
+                is_raised[v] = True
+                parent[v] = parent[tied]
+                raised.append(v)
+                for u in into[v]:
+                    if not is_raised[u]:
+                        is_raised[u] = True
+                        pulled.append(u)
+        for v in raised:
+            s[v] += 1
+        if _has_cycle_from(parent) or max(s) >= m:
+            return None
+
+
+def _has_cycle_from(parent):
+    """Whether following `parent` links (-1 ends a chain) ever loops."""
+    walk = [0] * len(parent)
+    for start in range(len(parent)):
+        v = start
+        while v >= 0 and not walk[v]:
+            walk[v] = start + 1
+            v = parent[v]
+        if v >= 0 and walk[v] == start + 1:
+            return True
+    return False
+
+
 def min_period_retime(netlist: Netlist) -> RetimeResult:
     """A legal retiming of minimum clock period (io lags pinned to 0)."""
     index = list(netlist.nodes)
-    m = len(index)
-    if m == 0:
+    if not index:
         return RetimeResult(Retiming({}), 0)
     pos = {name: i for i, name in enumerate(index)}
-    wmat, dmat, reach = _wd_matrices(netlist, index)
-    # Every constraint a probe can need, sorted by D once: the pairs with
-    # D > c are then a suffix, found by binary search.
-    pu, pv = np.nonzero(reach)
-    del reach
-    by_d = np.argsort(dmat[pu, pv], kind="stable")
-    pu, pv = pu[by_d], pv[by_d]
-    pd = dmat[pu, pv]
-    pb = wmat[pu, pv] - 1
-    del wmat, dmat, by_d
-
+    delay = [netlist.nodes[name].delay for name in index]
+    edges = [(pos[e.src], pos[e.dst], e.weight) for e in netlist.edges]
     hosts = [pos[h] for h in _host_names(netlist)]
-    fixed = [(pos[e.src], pos[e.dst], e.weight) for e in netlist.edges]
-    for h in hosts[1:]:
-        fixed.append((h, hosts[0], 0))
-        fixed.append((hosts[0], h, 0))
-    fixed_u = np.array([f[0] for f in fixed], dtype=np.intp)
-    fixed_v = np.array([f[1] for f in fixed], dtype=np.intp)
-    fixed_b = np.array([f[2] for f in fixed], dtype=np.int64)
 
-    def feasible(c):
-        first = np.searchsorted(pd, c, side="right")
-        u_arr = np.concatenate([fixed_u, pu[first:]])
-        v_arr = np.concatenate([fixed_v, pv[first:]])
-        b_arr = np.concatenate([fixed_b, pb[first:]])
-        return _solve_constraints(m, u_arr, v_arr, b_arr)
-
-    candidates = [int(x) for x in np.unique(pd)]
-    baseline = critical_path(netlist).period
-    candidates = [c for c in candidates if c <= baseline]
-    if not candidates or candidates[-1] != baseline:
-        candidates.append(baseline)  # identity retiming always works
-
-    lo, hi = 0, len(candidates) - 1
-    best = None
+    # The identity retiming meets the current period.
+    period = critical_path(netlist).period
+    s = [0] * len(index)
+    lo, hi = max(delay), period - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        sol = feasible(candidates[mid])
-        if sol is not None:
-            best = (candidates[mid], sol)
-            hi = mid - 1
-        else:
+        sol = _feas(delay, edges, hosts, mid, s)
+        if sol is None:
             lo = mid + 1
-    if best is None:
-        raise AssertionError("identity retiming rejected; period search broken")
+        else:
+            period, s, hi = mid, sol, mid - 1
 
-    period, dist = best
-    base = int(dist[hosts[0]]) if hosts else 0
-    lag = {name: int(dist[pos[name]]) - base for name in index}
+    base = s[hosts[0]] if hosts else 0
+    lag = {name: base - s[pos[name]] for name in index}
     result = Retiming({k: v for k, v in lag.items() if v != 0})
     achieved = critical_path(apply_retiming(netlist, result)).period
     if achieved != period:
@@ -282,7 +278,8 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
                       shift: int = 0, seed: int = 0) -> EquivalenceReport:
     """Drive both netlists with identical random streams and compare
     outputs from `warmup` on; `shift` compares b against a delayed by that
-    many cycles (pipelining latency).
+    many cycles (pipelining latency).  A run too short to compare any
+    cycle is refused rather than passed.
 
     Trials run bit-parallel: trial k occupies bit k of every stream value.
     """
@@ -293,6 +290,9 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
     _check_interfaces(a, b)
     if warmup is None:
         warmup = flush_warmup(a, b)
+    if warmup + shift >= cycles:
+        raise ValueError("need more than %d cycles to compare past warm-up %d "
+                         "and shift %d" % (warmup + shift, warmup, shift))
     rng = random.Random(seed)
     streams = _random_streams(a.inputs(), cycles, trials, rng)
     outs_a = simulate(a, streams, cycles, lanes=trials)

@@ -62,9 +62,10 @@ def _reaches_cycle(n_gates, gate_edges):
 
 def random_netlist(rng: random.Random, max_gates=3, n_inputs=None,
                    max_weight=2, max_delay=3, p_zero_weight=0.6,
-                   p_feedback=0.3) -> Netlist:
+                   p_feedback=0.3, safe_loops=True) -> Netlist:
     """A valid netlist: forward wires may be register-free, feedback wires
-    always carry at least one register, so no combinational cycles arise."""
+    always carry at least one register, so no combinational cycles arise.
+    `safe_loops=False` lets inverting kinds into loops too."""
     n_in = n_inputs if n_inputs is not None else rng.randint(1, 2)
     n_gates = rng.randint(1, max_gates)
     arity = [2 if rng.random() < 0.7 else 1 for _ in range(n_gates)]
@@ -89,7 +90,7 @@ def random_netlist(rng: random.Random, max_gates=3, n_inputs=None,
                     wires.append(("g%d" % src, g, pin, forward_weight()))
                     gate_edges.append((src, g))
 
-    constrained = _reaches_cycle(n_gates, gate_edges)
+    constrained = _reaches_cycle(n_gates, gate_edges) if safe_loops else ()
     nodes = [Node("in%d" % i, NodeKind.INPUT) for i in range(n_in)]
     for g in range(n_gates):
         if arity[g] == 2:

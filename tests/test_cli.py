@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cslowsim
 from cslowsim import cli
 from cslowsim.cslow import MemoryMode, write_bundle
 from cslowsim.isa import MemoryImage, assemble
@@ -19,6 +24,16 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_package_imports_without_numpy():
+    # A None entry in sys.modules makes `import numpy` raise ImportError.
+    src = str(Path(cslowsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import sys; sys.modules['numpy'] = None; import cslowsim.cli"],
+                   env=env, check=True, timeout=60)
 
 
 def test_asm_writes_image_and_listing(tmp_path, corpus_programs, capsys):
@@ -268,14 +283,22 @@ def test_bad_seed_env_var_is_usage_error(tmp_path, corpus_programs, capsys,
 @pytest.mark.parametrize("flags", [
     ["--check", "0"], ["--check", "-1"], ["--check", "5", "--cycles", "0"],
     ["--check", "5", "--cycles", "-3"],
-    ["--cslow", "2", "--check", "5", "--cycles", "0"]])
+    ["--cslow", "2", "--check", "5", "--cycles", "0"],
+    # ring's warm-up is 7 cycles; chain's is 8, plus the pipeline shift
+    ["--check", "20", "--cycles", "7"],
+    ["--pipeline", "2", "--check", "5", "--cycles", "10"]])
 def test_retime_vacuous_check_is_usage_error(capsys, flags):
     from conftest import CORPUS
+    circuit = "chain" if "--pipeline" in flags else "ring"  # ring has a loop
     code, stdout, stderr = run_cli(
-        capsys, ["retime", str(CORPUS / "circuits" / "ring.net"), *flags])
+        capsys, ["retime", str(CORPUS / "circuits" / (circuit + ".net")), *flags])
     assert (code, stdout) == (1, "")
     assert stderr in ("error: need at least one trial\n",
-                      "error: need at least one cycle\n")
+                      "error: need at least one cycle\n",
+                      "error: need more than 7 cycles to compare past warm-up 7 "
+                      "and shift 0\n",
+                      "error: need more than 10 cycles to compare past warm-up 8 "
+                      "and shift 2\n")
 
 
 def test_bench_shared_needs_one_image(corpus_programs, capsys):

@@ -7,7 +7,9 @@ a trace file or a `bench` table shows up here as a named case.  The
 cycle-limit cases were added, with their digests, before untraced runs moved
 to the whole-instruction loop, the four shared-memory cases after them before
 shared memory moved from the tick loop to per-thread lock-step copies, and
-the `retime` cases before the barrel machine lost its tick loop.
+the `retime` cases before the barrel machine lost its tick loop, and the
+two generated-netlist `retime` cases before the retimer moved from dense
+W/D tables to FEAS.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 from cslowsim import cli
 
 PROGRAMS = ("chain", "countdown", "memloop")
-CIRCUITS = ("chain", "ring", "toggle")
+CIRCUITS = ("chain", "ring", "toggle", "random136", "random86")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -92,6 +94,12 @@ def cases():
            ["retime", "chain.net", "--pipeline", "2", "--check", "20"])
     yield "retime ring --check 20", ["retime", "ring.net", "--check", "20"]
     yield "retime ring --pipeline 2", ["retime", "ring.net", "--pipeline", "2"]
+    # Generated netlists whose optimum moves many registers, so a retimer
+    # that reaches the same period with other lags changes the report.
+    yield ("retime random136 --check 20",
+           ["retime", "random136.net", "--check", "20"])
+    yield ("retime random86 --cslow 3 --check 20",
+           ["retime", "random86.net", "--cslow", "3", "--check", "20"])
 
 
 def digests(workdir):
@@ -189,6 +197,10 @@ GOLDEN = {
         "56e17dfc091542bdd889b8736e23806595c2be601961e12e3ea00af8b4888c8f",
     "retime ring --pipeline 2":
         "387d2dec8d285a72fed8d241490aba55bf8f0b8406a8a5a1b1c27afad523faa5",
+    "retime random136 --check 20":
+        "e39973d35798a2e99ca838bd90a61ad8dd8175b11bd5ebbe87d6232be9da0bfb",
+    "retime random86 --cslow 3 --check 20":
+        "5877de172f4d3d51a15f544d454dacdec8724b07de76a0777d9125410838e6de",
 }
 
 

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gennet
-from cslowsim.netlist import Netlist, Node, NodeKind, critical_path, parse, simulate
+import refretime
+from cslowsim.netlist import (Edge, Netlist, Node, NodeKind, critical_path, parse,
+                              simulate)
 from cslowsim.retime import (
     REFERENCE_SLICE_REGISTERS,
     BadC,
@@ -255,8 +258,54 @@ def _max_cycle_bound(net):
     return best
 
 
+def _unit_ring(n, k):
+    """n unit-delay gates in a loop with k registers on the feedback wire
+    and k on each io wire."""
+    nodes = [Node("in", NodeKind.INPUT), Node("g0", NodeKind.XOR, 1)]
+    nodes += [Node("g%d" % i, NodeKind.BUF, 1) for i in range(1, n)]
+    nodes.append(Node("out", NodeKind.OUTPUT))
+    edges = [Edge("in", "g0", 0, k), Edge("g%d" % (n - 1), "g0", 1, k)]
+    edges += [Edge("g%d" % i, "g%d" % (i + 1), 0, 0) for i in range(n - 1)]
+    edges.append(Edge("g%d" % (n - 1), "out", 0, k))
+    return Netlist(nodes, edges)
+
+
 def test_ring_meets_cycle_bound_with_equality(ring_net_text):
     ring = parse(ring_net_text)
     for c in range(1, 6):
         slowed = cslow_transform(ring, c)
         assert min_period_retime(slowed).period == math.ceil(4 / c)
+    # Every probe below ceil(n/k) is infeasible and must be refuted early.
+    for n, k in ((600, 7), (601, 6), (9, 3)):
+        assert min_period_retime(_unit_ring(n, k)).period == math.ceil(n / k)
+
+
+def _oracle_matches(net):
+    result = min_period_retime(net)
+    assert (result.period, result.retiming.lag) == refretime.min_period_retime(net)
+    return result
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32), c=st.integers(1, 3), safe_loops=st.booleans(),
+       max_gates=st.integers(1, 10), p_feedback=st.sampled_from([0.1, 0.3, 0.6]),
+       max_delay=st.integers(0, 4))
+def test_min_period_retime_matches_dense_oracle(seed, c, safe_loops, max_gates,
+                                                p_feedback, max_delay):
+    net = gennet.random_netlist(random.Random(seed), max_gates=max_gates,
+                                p_feedback=p_feedback, max_delay=max_delay,
+                                safe_loops=safe_loops)
+    _oracle_matches(cslow_transform(net, c))
+
+
+def test_min_period_retime_matches_oracle_past_infeasible_probes(ring_net_text):
+    # The search starts at the largest gate delay, so every case whose
+    # period exceeds it refutes at least one probe on the way.
+    from conftest import CORPUS
+    ring = parse(ring_net_text)
+    cases = [ring, cslow_transform(ring, 2), _unit_ring(9, 2),
+             cslow_transform(_unit_ring(7, 1), 2),
+             parse((CORPUS / "circuits" / "random136.net").read_text())]
+    for net in cases:
+        result = _oracle_matches(net)
+        assert result.period > max(n.delay for n in net.nodes.values())
