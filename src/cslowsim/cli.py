@@ -123,15 +123,16 @@ def cmd_bench(args) -> int:
         c_values = list(range(1, len(images) + 1))
     if not c_values:
         raise ValueError("empty thread-count list")
+    for n in c_values:
+        if not 1 <= n <= len(images):
+            raise ValueError("thread count %d is outside [1, %d]: one program "
+                             "per thread" % (n, len(images)))
     mode = cslow.MemoryMode(args.mode)
 
     sweep = cslow.Sweep(images, mode, args.max_cycles)
     rows = []
     print("n_threads sequential_sum cslow_rounds fast_cycles speedup")
     for n in c_values:
-        if not 1 <= n <= len(images):
-            raise ValueError("thread count %d needs %d programs, have %d"
-                             % (n, n, len(images)))
         result = sweep.compare(n)
         rows.append({
             "n_threads": n,
@@ -158,23 +159,25 @@ def cmd_retime(args) -> int:
         original = netlist.parse(fh.read())
     period_before = netlist.critical_path(original).period
 
-    checks = []  # (kind, base, transformed, shift/factor)
+    checks = []  # (check, base, transformed, keyword arguments)
     if args.pipeline is not None:
         final = retime.pipeline(original, args.pipeline)
-        checks.append(("shifted", original, final, args.pipeline))
+        checks.append((retime.check_equivalence, original, final,
+                       {"shift": args.pipeline}))
         c_factor = 1
     elif args.cslow is not None:
         c_factor = args.cslow
         slowed = retime.cslow_transform(original, c_factor)
         result = retime.min_period_retime(slowed)
         final = retime.apply_retiming(slowed, result.retiming)
-        checks.append(("interleaved", original, slowed, c_factor))
-        checks.append(("same", slowed, final, 0))
+        checks.append((retime.check_cslow_equivalence, original, slowed,
+                       {"factor": c_factor}))
+        checks.append((retime.check_equivalence, slowed, final, {}))
     else:
         c_factor = 1
         result = retime.min_period_retime(original)
         final = retime.apply_retiming(original, result.retiming)
-        checks.append(("same", original, final, 0))
+        checks.append((retime.check_equivalence, original, final, {}))
 
     period_after = netlist.critical_path(final).period
     area = retime.area_report(original, final)
@@ -183,15 +186,9 @@ def cmd_retime(args) -> int:
     warmup = None
     if args.check is not None:
         verdict = "PASS"
-        for kind, base, transformed, extra in checks:
-            if kind == "interleaved":
-                rep = retime.check_cslow_equivalence(
-                    base, transformed, extra, trials=args.check,
-                    cycles=args.cycles, seed=args.seed)
-            else:
-                rep = retime.check_equivalence(
-                    base, transformed, trials=args.check, cycles=args.cycles,
-                    shift=extra if kind == "shifted" else 0, seed=args.seed)
+        for check, base, transformed, kwargs in checks:
+            rep = check(base, transformed, trials=args.check, cycles=args.cycles,
+                        seed=args.seed, **kwargs)
             warmup = rep.warmup if warmup is None else max(warmup, rep.warmup)
             if not rep.passed:
                 verdict = "FAIL"
@@ -257,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="insert K input register ranks (feed-forward only)")
     p.add_argument("--check", type=int, metavar="TRIALS",
                    help="simulation equivalence check with this many trials")
-    p.add_argument("--cycles", type=int, default=256,
-                   help="cycles per equivalence trial")
+    p.add_argument("--cycles", type=int,
+                   help="cycles per equivalence trial (default: warm-up, "
+                        "plus pipeline shift, plus 256 compared cycles)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_retime)
 

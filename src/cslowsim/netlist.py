@@ -92,7 +92,9 @@ class Netlist:
     def __init__(self, nodes, edges):
         self.nodes = {n.name: n for n in nodes}
         self.edges = tuple(edges)
-        violations = validate(self.nodes, self.edges)
+        # Node names in register-free topological order, for the walks of
+        # `critical_path` and the compiled simulator.
+        violations, self.order = validate(self.nodes, self.edges)
         if violations:
             raise NetlistError(violations)
 
@@ -124,8 +126,9 @@ class Netlist:
             len(self.nodes), len(self.edges), self.total_registers)
 
 
-def validate(nodes, edges) -> list:
-    """All structural violations, empty when the netlist is well formed."""
+def validate(nodes, edges):
+    """All structural violations (empty when the netlist is well formed) and
+    the node names in register-free topological order."""
     violations = []
     for e in edges:
         for end in (e.src, e.dst):
@@ -134,7 +137,7 @@ def validate(nodes, edges) -> list:
         if e.weight < 0:
             violations.append("wire %s->%s has negative weight" % (e.src, e.dst))
     if violations:
-        return violations
+        return violations, []
 
     drivers = {}
     for e in edges:
@@ -158,48 +161,43 @@ def validate(nodes, edges) -> list:
             if (n.name, pin) not in drivers:
                 violations.append("pin %d of '%s' is undriven" % (pin, n.name))
 
-    cycle = _zero_weight_cycle(nodes, edges)
-    if cycle:
-        violations.append("combinational cycle: %s" % " -> ".join(cycle))
-    return violations
+    arcs = [(e.src, e.dst) for e in edges if e.weight == 0]
+    order = topological_order(nodes, arcs)
+    if len(order) < len(nodes):
+        # Each node the order left out has a register-free predecessor among
+        # them, so walking back from one closes a cycle.
+        left = set(nodes).difference(order)
+        pred = {dst: src for src, dst in arcs if src in left}
+        path, at = [], {}
+        name = next(n for n in nodes if n in left)
+        while name not in at:
+            at[name] = len(path)
+            path.append(name)
+            name = pred[name]
+        cycle = path[at[name]:] + [name]
+        violations.append("combinational cycle: %s" % " -> ".join(reversed(cycle)))
+    return violations, order
 
 
-def _zero_weight_cycle(nodes, edges):
-    """One register-free directed cycle, or None."""
-    adj = {name: [] for name in nodes}
-    for e in edges:
-        if e.weight == 0:
-            adj[e.src].append(e.dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in nodes}
-    parent = {}
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = GRAY
-        while stack:
-            name, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if color[succ] == WHITE:
-                    color[succ] = GRAY
-                    parent[succ] = name
-                    stack.append((succ, iter(adj[succ])))
-                    advanced = True
-                    break
-                if color[succ] == GRAY:
-                    cycle = [succ, name]
-                    node = name
-                    while node != succ:
-                        node = parent[node]
-                        cycle.append(node)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[name] = BLACK
-                stack.pop()
-    return None
+def topological_order(names, arcs) -> list:
+    """`names` in an order where every (src, dst) pair of `arcs` has src
+    first (Kahn's algorithm).  It is short when the arcs close a cycle:
+    nodes on a cycle, or after one, are left out."""
+    indeg = dict.fromkeys(names, 0)
+    succ = {name: [] for name in names}
+    for src, dst in arcs:
+        indeg[dst] += 1
+        succ[src].append(dst)
+    ready = [name for name, d in indeg.items() if d == 0]
+    order = []
+    while ready:
+        name = ready.pop()
+        order.append(name)
+        for nxt in succ[name]:
+            indeg[nxt] -= 1
+            if not indeg[nxt]:
+                ready.append(nxt)
+    return order
 
 
 def parse(text: str) -> Netlist:
@@ -259,28 +257,6 @@ def to_text(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _zero_weight_topo(netlist):
-    """Node names topologically ordered over register-free edges."""
-    indeg = {name: 0 for name in netlist.nodes}
-    adj = {name: [] for name in netlist.nodes}
-    for e in netlist.edges:
-        if e.weight == 0:
-            indeg[e.dst] += 1
-            adj[e.src].append(e.dst)
-    ready = [name for name, d in indeg.items() if d == 0]
-    order = []
-    while ready:
-        name = ready.pop()
-        order.append(name)
-        for succ in adj[name]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(netlist.nodes):
-        raise NetlistError(["combinational cycle survived validation"])
-    return order
-
-
 @dataclass
 class CriticalPath:
     period: int
@@ -289,7 +265,6 @@ class CriticalPath:
 
 def critical_path(netlist: Netlist) -> CriticalPath:
     """Longest total delay along any register-free path (the clock period)."""
-    order = _zero_weight_topo(netlist)
     arrival = {}
     pred = {}
     fanin = {name: [] for name in netlist.nodes}
@@ -297,7 +272,7 @@ def critical_path(netlist: Netlist) -> CriticalPath:
         if e.weight == 0:
             fanin[e.dst].append(e.src)
     best_name = None
-    for name in order:
+    for name in netlist.order:
         node = netlist.nodes[name]
         incoming = 0
         via = None
@@ -373,7 +348,7 @@ def _compile(netlist):
     output.  No netlist string reaches the source: identifiers are built
     from indices alone.
     """
-    order = _zero_weight_topo(netlist)
+    order = netlist.order
     index = {name: i for i, name in enumerate(order)}
     fanin = {}
     depth = {}  # register source index -> deepest wire it drives

@@ -35,10 +35,16 @@ It works on s = -r and probes one period c at a time:
 The search is binary over integer periods from the largest gate delay up;
 each feasible probe's s starts the smaller ones, whose least s is larger.
 
-Retiming moves registers across logic, so the retimed circuit may disagree
-with the original during a start-up transient; equivalence is checked by
-simulation after a conservative flush warm-up.  Pure C-slow needs no
-warm-up.
+Equivalence is checked by one bit-parallel simulation of each circuit
+(`check_equivalence`).  It draws `factor` independent slot streams: b sees
+them interleaved, slot j at its cycles j, j + factor, ...; a runs once
+over all of them side by side in `factor * trials` lanes.  Each slot of b
+must match a delayed by `shift` cycles (pipelining latency), compared from
+cycle `warmup + shift` on.  Retiming moves registers across logic, so the
+retimed circuit may disagree with the original during a start-up
+transient: the plain check (factor 1) waits out a conservative flush
+warm-up.  Pure C-slow needs none, so `check_cslow_equivalence` compares
+from cycle 0.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .netlist import Netlist, NodeKind, critical_path, simulate
+from .netlist import Netlist, NodeKind, critical_path, simulate, topological_order
 
 
 class BadC(Exception):
@@ -206,24 +212,6 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     return RetimeResult(result, period)
 
 
-def _has_cycle(netlist):
-    indeg = {name: 0 for name in netlist.nodes}
-    adj = {name: [] for name in netlist.nodes}
-    for e in netlist.edges:
-        indeg[e.dst] += 1
-        adj[e.src].append(e.dst)
-    ready = [n for n, deg in indeg.items() if deg == 0]
-    seen = 0
-    while ready:
-        name = ready.pop()
-        seen += 1
-        for succ in adj[name]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                ready.append(succ)
-    return seen != len(netlist.nodes)
-
-
 def pipeline(netlist: Netlist, k: int) -> Netlist:
     """Insert k register ranks from the inputs of a feed-forward netlist
     and rebalance; every input-to-output path gains exactly k registers.
@@ -233,7 +221,8 @@ def pipeline(netlist: Netlist, k: int) -> Netlist:
     """
     if k < 0:
         raise ValueError("pipeline depth must be >= 0, got %r" % k)
-    if _has_cycle(netlist):
+    arcs = [(e.src, e.dst) for e in netlist.edges]
+    if len(topological_order(netlist.nodes, arcs)) < len(netlist.nodes):
         raise NotFeedForward("netlist has a feedback path; use cslow_transform")
     input_names = set(netlist.inputs())
     staged = netlist.with_weights(
@@ -269,82 +258,66 @@ def _check_interfaces(a, b):
             % (a.inputs(), a.outputs(), b.inputs(), b.outputs()))
 
 
-def _random_streams(names, cycles, trials, rng):
-    return {name: [rng.getrandbits(trials) for _ in range(cycles)] for name in names}
-
-
 def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
-                      cycles: int = 256, warmup: int | None = None,
-                      shift: int = 0, seed: int = 0) -> EquivalenceReport:
-    """Drive both netlists with identical random streams and compare
-    outputs from `warmup` on; `shift` compares b against a delayed by that
-    many cycles (pipelining latency).  A run too short to compare any
-    cycle is refused rather than passed.
+                      cycles: int | None = None, warmup: int | None = None,
+                      shift: int = 0, seed: int = 0,
+                      factor: int = 1) -> EquivalenceReport:
+    """Drive both netlists with the same random streams and compare their
+    outputs; see the module docstring.  `cycles` is per slot (b runs
+    `factor` times as many) and defaults to 256 compared cycles past
+    `warmup + shift`; `warmup` defaults to `flush_warmup`.  A run too
+    short to compare any cycle is refused rather than passed.
 
     Trials run bit-parallel: trial k occupies bit k of every stream value.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
-    _check_interfaces(a, b)
-    if warmup is None:
-        warmup = flush_warmup(a, b)
-    if warmup + shift >= cycles:
-        raise ValueError("need more than %d cycles to compare past warm-up %d "
-                         "and shift %d" % (warmup + shift, warmup, shift))
-    rng = random.Random(seed)
-    streams = _random_streams(a.inputs(), cycles, trials, rng)
-    outs_a = simulate(a, streams, cycles, lanes=trials)
-    outs_b = simulate(b, streams, cycles, lanes=trials)
-    for name in a.outputs():
-        sa, sb = outs_a[name], outs_b[name]
-        for t in range(warmup + shift, cycles):
-            if sb[t] != sa[t - shift]:
-                return EquivalenceReport(False, warmup, trials, cycles, shift,
-                                         mismatch=(name, t))
-    return EquivalenceReport(True, warmup, trials, cycles, shift)
-
-
-def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,
-                            trials: int = 100, cycles: int = 256,
-                            seed: int = 0) -> EquivalenceReport:
-    """b fed `factor`-way interleaved copies of independent streams must,
-    after de-interleaving, match `factor` independent runs of a exactly,
-    from cycle 0 (all registers start at 0).  Those runs are one simulation
-    of a with the slots side by side in `factor * trials` lanes."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
     if factor < 1:
         raise BadC("slowdown factor must be >= 1, got %r" % factor)
     _check_interfaces(a, b)
+    if warmup is None:
+        warmup = flush_warmup(a, b)
+    start = warmup + shift
+    if cycles is None:
+        cycles = start + 256
+    if cycles < 1:
+        raise ValueError("need at least one cycle")
+    if start >= cycles:
+        raise ValueError("need more than %d cycles to compare past warm-up %d "
+                         "and shift %d" % (start, warmup, shift))
     rng = random.Random(seed)
-    slow_streams = [_random_streams(a.inputs(), cycles, trials, rng)
-                    for _ in range(factor)]
-    # b sees slot j's streams at fast cycles j, j+factor, ...; a runs once
+    slots = [{name: [rng.getrandbits(trials) for _ in range(cycles)]
+              for name in a.inputs()} for _ in range(factor)]
+    # b sees slot j's streams at its cycles j, j+factor, ...; a runs once
     # for every slot, with slot j's trials in lanes j*trials onwards.
     fast_streams, packed = {}, {}
     for name in a.inputs():
         fast = [0] * (factor * cycles)
         column = [0] * cycles
-        for j, streams in enumerate(slow_streams):
+        for j, streams in enumerate(slots):
             fast[j::factor] = streams[name]
             column = [v | (w << (j * trials)) for v, w in zip(column, streams[name])]
         fast_streams[name], packed[name] = fast, column
-    outs_b = simulate(b, fast_streams, factor * cycles, lanes=trials)
     outs_a = simulate(a, packed, cycles, lanes=factor * trials)
+    outs_b = simulate(b, fast_streams, factor * cycles, lanes=trials)
     mask = (1 << trials) - 1
     for j in range(factor):
         for name in a.outputs():
-            want = [(v >> (j * trials)) & mask for v in outs_a[name]]
-            got = outs_b[name][j::factor]
+            want = [(v >> (j * trials)) & mask
+                    for v in outs_a[name][warmup:cycles - shift]]
+            got = outs_b[name][factor * start + j::factor]
             if got != want:
-                t = next(t for t in range(cycles) if got[t] != want[t])
-                return EquivalenceReport(False, 0, trials, cycles,
+                t = start + next(t for t, (g, w) in enumerate(zip(got, want)) if g != w)
+                return EquivalenceReport(False, warmup, trials, cycles, shift,
                                          mismatch=(name, factor * t + j))
-    return EquivalenceReport(True, 0, trials, cycles)
+    return EquivalenceReport(True, warmup, trials, cycles, shift)
+
+
+def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,
+                            trials: int = 100, cycles: int | None = 256,
+                            seed: int = 0) -> EquivalenceReport:
+    """b, `factor`-slowed, against a from cycle 0: all registers start at 0."""
+    return check_equivalence(a, b, trials, cycles, warmup=0, seed=seed, factor=factor)
 
 
 # Published synthesis measurement for a 3-slow build of the microprogrammed

@@ -234,6 +234,27 @@ def test_retime_cslow_ring(tmp_path, capsys):
     assert report["area"]["fpga_reference"]["slice_registers_after"] == 4270
 
 
+@pytest.mark.parametrize("flags", [[], ["--cslow", "3"]])
+def test_retime_default_cycles_compare_past_long_warmup(tmp_path, capsys, flags):
+    # A 300-gate BUF chain closed by a 3-register feedback wire through an
+    # XOR: every gate preserves zero, so the retimed ring is equivalent once
+    # warmed up, and its warm-up (registers plus nodes) is over 256 cycles.
+    lines = ["input in", "output out", "gate x XOR 1", "wire in x 0 0",
+             "wire x b0 0 0", "wire b299 x 1 3", "wire b299 out 0 0"]
+    for i in range(300):
+        lines.append("gate b%d BUF 1" % i)
+        if i:
+            lines.append("wire b%d b%d 0 0" % (i - 1, i))
+    path = tmp_path / "long.net"
+    path.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run_cli(capsys, ["retime", str(path), *flags,
+                                            "--check", "4"])
+    assert (code, stderr) == (0, "")
+    report = json.loads(stdout)
+    assert report["equivalence"] == "PASS"
+    assert report["warmup"] > 256
+
+
 def test_retime_flags_mutually_exclusive(tmp_path, capsys):
     from conftest import CORPUS
     path = tmp_path / "c.net"
@@ -299,6 +320,16 @@ def test_retime_vacuous_check_is_usage_error(capsys, flags):
                       "and shift 0\n",
                       "error: need more than 10 cycles to compare past warm-up 8 "
                       "and shift 2\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "4"])
+def test_bench_thread_count_out_of_range_is_usage_error(corpus_programs, capsys, count):
+    # Refused before any row runs, wherever the bad count stands in the list.
+    code, stdout, stderr = run_cli(
+        capsys, ["bench", *map(str, corpus_programs), "--c-values", "1," + count])
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: thread count %s is outside [1, 3]: one program "
+                      "per thread\n" % count)
 
 
 def test_bench_shared_needs_one_image(corpus_programs, capsys):

@@ -9,7 +9,9 @@ to the whole-instruction loop, the four shared-memory cases after them before
 shared memory moved from the tick loop to per-thread lock-step copies, and
 the `retime` cases before the barrel machine lost its tick loop, and the
 two generated-netlist `retime` cases before the retimer moved from dense
-W/D tables to FEAS.
+W/D tables to FEAS.  None changed when the plain and C-slow equivalence
+checks became one checker and `retime --cycles` came to default to 256
+compared cycles past the warm-up.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """

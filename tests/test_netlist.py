@@ -61,6 +61,26 @@ def test_parse_rejects_combinational_cycle():
     assert ok.total_registers == 1
 
 
+@pytest.mark.parametrize("text", [
+    # a loop fed by a gate outside it and feeding one declared before it,
+    # so the walk back starts off the loop
+    "input i\ngate e BUF 1\ngate a XOR 1\ngate b BUF 1\ngate c BUF 1\n"
+    "gate d BUF 1\nwire i d 0 0\nwire d a 0 0\nwire c a 1 0\nwire a b 0 0\n"
+    "wire b c 0 0\nwire c e 0 0\n",
+    # two disjoint loops, one of them also carrying a register-bearing wire
+    "gate a BUF 1\ngate b BUF 1\ngate c XOR 1\ngate d BUF 1\n"
+    "wire a b 0 0\nwire b a 0 0\nwire d c 0 0\nwire c d 0 0\nwire c c 1 2\n"])
+def test_combinational_cycle_message_names_a_closed_loop(text):
+    with pytest.raises(NetlistError) as exc:
+        parse(text)
+    [message] = [v for v in exc.value.violations if "combinational cycle" in v]
+    path = message.split(": ", 1)[1].split(" -> ")
+    assert len(path) > 2 and path[0] == path[-1]
+    free = {(line.split()[1], line.split()[2]) for line in text.splitlines()
+            if line.startswith("wire") and line.split()[4] == "0"}
+    assert all(pair in free for pair in zip(path, path[1:]))
+
+
 def test_parse_arity_checks():
     with pytest.raises(NetlistError, match="no pin 1"):
         parse("input a\ninput b\ngate g NOT 1\nwire a g 0 0\nwire b g 1 0\n")

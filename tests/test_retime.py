@@ -148,7 +148,11 @@ def test_check_equivalence_detects_difference(chain_net_text):
     broken = parse(chain_net_text.replace("gate g2 BUF 1", "gate g2 NOT 1"))
     report = check_equivalence(chain, broken, trials=8, cycles=32, warmup=8)
     assert not report.passed and report.verdict == "FAIL"
-    assert report.mismatch is not None
+    # The inverted output differs on the first compared cycle, counted on
+    # b's clock: warm-up 8 plus the shift.
+    assert report.mismatch == ("out", 8)
+    report = check_equivalence(chain, broken, trials=8, cycles=32, warmup=8, shift=2)
+    assert report.mismatch == ("out", 10)
 
 
 def test_check_equivalence_interface_mismatch(chain_net_text):
