@@ -5,9 +5,10 @@ JSON; all of it is byte-reproducible for fixed inputs and seed.  The
 default seed is 0, overridable with the CSLOW_SEED environment variable or
 a --seed flag.
 
-Exit codes: 0 success, 1 input or usage error, 2 simulation cycle limit
-exceeded, 3 internal invariant violation (including a failed equivalence
-check, which a correct transformation must never produce).
+Exit codes: 0 success, 1 input or usage error (bad arguments included),
+2 simulation cycle limit exceeded, 3 internal invariant violation
+(including a failed equivalence check, which a correct transformation
+must never produce).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import cslow, isa, microcode, netlist, retime
 
@@ -159,39 +159,30 @@ def cmd_retime(args) -> int:
         original = netlist.parse(fh.read())
     period_before = netlist.critical_path(original).period
 
+    c_factor = 1 if args.cslow is None else args.cslow
     checks = []  # (check, base, transformed, keyword arguments)
     if args.pipeline is not None:
         final = retime.pipeline(original, args.pipeline)
         checks.append((retime.check_equivalence, original, final,
                        {"shift": args.pipeline}))
-        c_factor = 1
-    elif args.cslow is not None:
-        c_factor = args.cslow
-        slowed = retime.cslow_transform(original, c_factor)
-        result = retime.min_period_retime(slowed)
-        final = retime.apply_retiming(slowed, result.retiming)
-        checks.append((retime.check_cslow_equivalence, original, slowed,
-                       {"factor": c_factor}))
-        checks.append((retime.check_equivalence, slowed, final, {}))
     else:
-        c_factor = 1
-        result = retime.min_period_retime(original)
-        final = retime.apply_retiming(original, result.retiming)
-        checks.append((retime.check_equivalence, original, final, {}))
+        slowed = retime.cslow_transform(original, c_factor)
+        final = retime.min_period_retime(slowed).netlist
+        if c_factor > 1:  # at C = 1, `slowed` is `original`
+            checks.append((retime.check_cslow_equivalence, original, slowed,
+                           {"factor": c_factor}))
+        checks.append((retime.check_equivalence, slowed, final, {}))
 
     period_after = netlist.critical_path(final).period
     area = retime.area_report(original, final)
 
-    verdict = None
-    warmup = None
+    verdict = warmup = None
     if args.check is not None:
-        verdict = "PASS"
-        for check, base, transformed, kwargs in checks:
-            rep = check(base, transformed, trials=args.check, cycles=args.cycles,
-                        seed=args.seed, **kwargs)
-            warmup = rep.warmup if warmup is None else max(warmup, rep.warmup)
-            if not rep.passed:
-                verdict = "FAIL"
+        reports = [check(base, transformed, trials=args.check, cycles=args.cycles,
+                         seed=args.seed, **kwargs)
+                   for check, base, transformed, kwargs in checks]
+        verdict = "PASS" if all(rep.passed for rep in reports) else "FAIL"
+        warmup = max(rep.warmup for rep in reports)
 
     _print_json({
         "period_before": period_before,
@@ -207,8 +198,27 @@ def cmd_retime(args) -> int:
     return EXIT_INTERNAL if verdict == "FAIL" else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on an argument error; argparse's 2 means a cycle limit here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+
+def address(text) -> int:
+    return int(text, 0)  # 10, 0x10, 0o20, ...
+
+
+def cycle_limit(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cslowsim",
         description="Microcoded accumulator core, C-slow barrel execution, "
                     "and netlist retiming tools")
@@ -217,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asm", help="assemble a source program to a memory image")
     p.add_argument("source")
     p.add_argument("out")
-    p.add_argument("--origin", type=lambda s: int(s, 0), default=0)
+    p.add_argument("--origin", type=address, default=0)
     p.set_defaults(func=cmd_asm)
 
     p = sub.add_parser("run", help="run one image on the baseline core")
     p.add_argument("image")
-    p.add_argument("--max-cycles", type=int, default=100_000)
+    p.add_argument("--max-cycles", type=cycle_limit, default=100_000)
     p.add_argument("--trace", help="write a cycle trace to this file")
     p.set_defaults(func=cmd_run)
 
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", help="cslow-bundle file instead of image files")
     p.add_argument("--c", type=int, help="thread count (default: image count)")
     p.add_argument("--mode", choices=[m.value for m in cslow.MemoryMode])
-    p.add_argument("--max-cycles", type=int, default=1_000_000,
+    p.add_argument("--max-cycles", type=cycle_limit, default=1_000_000,
                    help="fast-cycle budget")
     p.add_argument("--trace", help="trace file (C=1) or prefix for per-thread files")
     p.set_defaults(func=cmd_run_cslow)
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-values", help="comma-separated thread counts (default 1..N)")
     p.add_argument("--mode", choices=[m.value for m in cslow.MemoryMode],
                    default="private")
-    p.add_argument("--max-cycles", type=int, default=1_000_000)
+    p.add_argument("--max-cycles", type=cycle_limit, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", help="write the machine-readable report here")
     p.set_defaults(func=cmd_bench)
@@ -249,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retime", help="C-slow / pipeline / min-period retime a netlist")
     p.add_argument("netlist")
     p.add_argument("--cslow", type=int, metavar="C",
-                   help="multiply every register C times before retiming")
+                   help="multiply every register C times before retiming "
+                        "(default 1: retime only)")
     p.add_argument("--pipeline", type=int, metavar="K",
                    help="insert K input register ranks (feed-forward only)")
     p.add_argument("--check", type=int, metavar="TRIALS",

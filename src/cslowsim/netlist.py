@@ -13,9 +13,6 @@ File format (line-based, `#` comments):
     gate <name> <kind> <delay>
     wire <from> <to> <pin> <weight>
 
-Streams files hold one line per cycle, one 0/1 character per signal in
-declaration order.
-
 Simulation is compiled: `simulate` turns the netlist into one Python
 function whose loop body is straight-line code for a cycle, nodes in
 register-free topological order.  A register pipeline is not stored per
@@ -293,32 +290,6 @@ def critical_path(netlist: Netlist) -> CriticalPath:
         node = pred[node]
     path.reverse()
     return CriticalPath(arrival[best_name], path)
-
-
-def format_streams(streams: dict, names) -> str:
-    """Streams file: one line per cycle, one 0/1 character per signal, in
-    the given declaration order."""
-    length = {len(streams[name]) for name in names}
-    if len(length) > 1:
-        raise ValueError("streams differ in length: %s" % sorted(length))
-    cycles = length.pop() if length else 0
-    return "".join(
-        "".join("1" if streams[name][t] else "0" for name in names) + "\n"
-        for t in range(cycles))
-
-
-def parse_streams(text: str, names) -> dict:
-    streams = {name: [] for name in names}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if len(line) != len(names) or set(line) - {"0", "1"}:
-            raise ValueError("line %d: expected %d characters of 0/1"
-                             % (lineno, len(names)))
-        for name, ch in zip(names, line):
-            streams[name].append(int(ch))
-    return streams
 
 
 # One expression per node kind.  Every value stays inside `mask`, so the

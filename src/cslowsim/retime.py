@@ -34,6 +34,8 @@ It works on s = -r and probes one period c at a time:
 
 The search is binary over integer periods from the largest gate delay up;
 each feasible probe's s starts the smaller ones, whose least s is larger.
+`min_period_retime` returns the lags as a dict {node name: lag} of the
+nonzero ones, the period, and the retimed netlist, checked to meet it.
 
 Equivalence is checked by one bit-parallel simulation of each circuit
 (`check_equivalence`).  It draws `factor` independent slot streams: b sees
@@ -72,18 +74,12 @@ class InterfaceMismatch(Exception):
     pass
 
 
-@dataclass
-class Retiming:
-    lag: dict  # node name -> integer lag; absent means 0
-
-    def of(self, name) -> int:
-        return self.lag.get(name, 0)
-
-
 def cslow_transform(netlist: Netlist, c: int) -> Netlist:
     """Replace every register with c registers (edge weights scaled by c)."""
     if c < 1:
         raise BadC("slowdown factor must be >= 1, got %r" % c)
+    if c == 1:
+        return netlist  # netlists are immutable by convention: no copy
     return netlist.with_weights([e.weight * c for e in netlist.edges])
 
 
@@ -92,14 +88,14 @@ def _host_names(netlist):
             if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT)]
 
 
-def retimed_weights(netlist: Netlist, r: Retiming) -> list:
+def retimed_weights(netlist: Netlist, lag: dict) -> list:
     """w_r for every edge, raising IllegalRetiming on any violation."""
     for host in _host_names(netlist):
-        if r.of(host) != 0:
+        if lag.get(host, 0) != 0:
             raise IllegalRetiming("io node '%s' must keep lag 0" % host)
     weights = []
     for e in netlist.edges:
-        w = e.weight + r.of(e.dst) - r.of(e.src)
+        w = e.weight + lag.get(e.dst, 0) - lag.get(e.src, 0)
         if w < 0:
             raise IllegalRetiming(
                 "edge %s->%s pin %d would get weight %d" % (e.src, e.dst, e.pin, w))
@@ -107,14 +103,15 @@ def retimed_weights(netlist: Netlist, r: Retiming) -> list:
     return weights
 
 
-def apply_retiming(netlist: Netlist, r: Retiming) -> Netlist:
-    return netlist.with_weights(retimed_weights(netlist, r))
+def apply_retiming(netlist: Netlist, lag: dict) -> Netlist:
+    return netlist.with_weights(retimed_weights(netlist, lag))
 
 
 @dataclass
 class RetimeResult:
-    retiming: Retiming
+    lag: dict  # node name -> nonzero lag
     period: int
+    netlist: Netlist  # the input with the lags applied; meets `period`
 
 
 def _feas(delay, edges, hosts, c, start):
@@ -184,7 +181,7 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     """A legal retiming of minimum clock period (io lags pinned to 0)."""
     index = list(netlist.nodes)
     if not index:
-        return RetimeResult(Retiming({}), 0)
+        return RetimeResult({}, 0, netlist)
     pos = {name: i for i, name in enumerate(index)}
     delay = [netlist.nodes[name].delay for name in index]
     edges = [(pos[e.src], pos[e.dst], e.weight) for e in netlist.edges]
@@ -203,13 +200,13 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
             period, s, hi = mid, sol, mid - 1
 
     base = s[hosts[0]] if hosts else 0
-    lag = {name: base - s[pos[name]] for name in index}
-    result = Retiming({k: v for k, v in lag.items() if v != 0})
-    achieved = critical_path(apply_retiming(netlist, result)).period
+    lag = {name: base - s[pos[name]] for name in index if s[pos[name]] != base}
+    retimed = apply_retiming(netlist, lag)
+    achieved = critical_path(retimed).period
     if achieved != period:
         raise AssertionError("retiming achieved period %d, expected %d"
                              % (achieved, period))
-    return RetimeResult(result, period)
+    return RetimeResult(lag, period, retimed)
 
 
 def pipeline(netlist: Netlist, k: int) -> Netlist:
@@ -227,7 +224,7 @@ def pipeline(netlist: Netlist, k: int) -> Netlist:
     input_names = set(netlist.inputs())
     staged = netlist.with_weights(
         [e.weight + k if e.src in input_names else e.weight for e in netlist.edges])
-    return apply_retiming(staged, min_period_retime(staged).retiming)
+    return min_period_retime(staged).netlist
 
 
 @dataclass

@@ -21,7 +21,6 @@ from cslowsim.isa import Mnemonic, assemble
 from cslowsim.microcode import format_trace, instruction_cycle_cost, run
 from cslowsim.netlist import critical_path, parse
 from cslowsim.retime import (
-    apply_retiming,
     area_report,
     check_cslow_equivalence,
     check_equivalence,
@@ -72,7 +71,7 @@ def retimed_pairs(small_netlists, medium_netlists):
     pairs = []
     for net in small_netlists + medium_netlists:
         result = min_period_retime(net)
-        pairs.append((net, apply_retiming(net, result.retiming), result))
+        pairs.append((net, result.netlist, result))
     return pairs
 
 
@@ -168,7 +167,7 @@ def test_criterion_4_fixture_periods(chain_net_text, ring_net_text):
     three = cslow_transform(ring, 3)
     result = min_period_retime(three)
     assert result.period == math.ceil(4 / 3) == 2
-    assert apply_retiming(three, result.retiming).total_registers == 3
+    assert result.netlist.total_registers == 3
     _report(4, "chain 4 -> pipelined 2; ring 4 -> 2-slow 2 -> 3-slow 2 "
                "with 3 registers")
 

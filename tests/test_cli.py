@@ -322,6 +322,48 @@ def test_retime_vacuous_check_is_usage_error(capsys, flags):
                       "and shift 2\n")
 
 
+@pytest.mark.parametrize("circuit", ["chain", "ring", "toggle", "random136", "random86"])
+@pytest.mark.parametrize("flags", [[], ["--check", "20"]])
+def test_retime_plain_is_cslow_1(capsys, circuit, flags):
+    from conftest import CORPUS
+    argv = ["retime", str(CORPUS / "circuits" / (circuit + ".net")), *flags]
+    assert run_cli(capsys, argv) == run_cli(capsys, argv + ["--cslow", "1"])
+
+
+def test_retime_cslow_0_is_usage_error(capsys):
+    from conftest import CORPUS
+    code, stdout, stderr = run_cli(
+        capsys, ["retime", str(CORPUS / "circuits" / "ring.net"), "--cslow", "0"])
+    assert (code, stdout) == (1, "")
+    assert "slowdown factor" in stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["run"], "image"),
+    (["retime", "ring.net", "--cslow", "abc"], "--cslow"),
+    (["asm", "a.asm", "o.hex", "--origin", "zz"], "--origin"),
+    (["run", "a.hex", "--max-cycles", "0"], "--max-cycles"),
+    (["run-cslow", "a.hex", "--max-cycles", "0"], "--max-cycles"),
+    (["bench", "a.asm", "--max-cycles", "-5"], "--max-cycles"),
+    (["bench", "a.asm", "--max-cycles", "abc"], "--max-cycles")])
+def test_argument_error_is_usage_error(capsys, argv, option):
+    # argparse's own code, 2, is the CLI's "cycle limit exceeded".
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert option in captured.err and "<lambda>" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["retime", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: cslowsim" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("count", ["0", "-2", "4"])
 def test_bench_thread_count_out_of_range_is_usage_error(corpus_programs, capsys, count):
     # Refused before any row runs, wherever the bad count stands in the list.

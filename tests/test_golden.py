@@ -11,7 +11,8 @@ the `retime` cases before the barrel machine lost its tick loop, and the
 two generated-netlist `retime` cases before the retimer moved from dense
 W/D tables to FEAS.  None changed when the plain and C-slow equivalence
 checks became one checker and `retime --cycles` came to default to 256
-compared cycles past the warm-up.
+compared cycles past the warm-up, nor when plain retiming became C-slow at
+C = 1 and the retimer came to return the netlist it verified.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """

@@ -15,7 +15,6 @@ from cslowsim.retime import (
     IllegalRetiming,
     InterfaceMismatch,
     NotFeedForward,
-    Retiming,
     apply_retiming,
     area_report,
     check_cslow_equivalence,
@@ -34,7 +33,7 @@ def test_cslow_transform_scales_weights(ring_net_text):
     assert [e.weight for e in doubled.edges] == \
         [2 * e.weight for e in ring.edges]
     assert doubled.nodes == ring.nodes
-    assert cslow_transform(ring, 1) == ring
+    assert cslow_transform(ring, 1) is ring  # no copy at C = 1
     with pytest.raises(BadC):
         cslow_transform(ring, 0)
 
@@ -48,9 +47,9 @@ def test_cslow_transform_arbitrary_weights():
 
 def test_apply_retiming_identity_and_shift(ring_net_text):
     ring = parse(ring_net_text)
-    assert apply_retiming(ring, Retiming({})) == ring
+    assert apply_retiming(ring, {}) == ring
     # move the loop register one gate forward: lag(g2) = -1
-    shifted = apply_retiming(ring, Retiming({"g2": -1}))
+    shifted = apply_retiming(ring, {"g2": -1})
     weights = {(e.src, e.dst): e.weight for e in shifted.edges}
     assert weights[("g1", "g2")] == 0
     assert weights[("g2", "g3")] == 1
@@ -60,11 +59,11 @@ def test_apply_retiming_identity_and_shift(ring_net_text):
 def test_apply_retiming_rejects_illegal(ring_net_text):
     ring = parse(ring_net_text)
     with pytest.raises(IllegalRetiming, match="g2->g3"):
-        apply_retiming(ring, Retiming({"g2": 1}))
+        apply_retiming(ring, {"g2": 1})
     with pytest.raises(IllegalRetiming, match="lag 0"):
-        apply_retiming(ring, Retiming({"in": 1}))
+        apply_retiming(ring, {"in": 1})
     with pytest.raises(IllegalRetiming):
-        retimed_weights(ring, Retiming({"g1": -5}))
+        retimed_weights(ring, {"g1": -5})
 
 
 def test_min_period_retime_ring_cannot_improve(ring_net_text):
@@ -79,8 +78,8 @@ def test_min_period_retime_after_cslow(ring_net_text):
         slowed = cslow_transform(ring, c)
         result = min_period_retime(slowed)
         assert result.period == 2  # ceil(4/c) with 4 unit gates
-        applied = apply_retiming(slowed, result.retiming)
-        assert critical_path(applied).period == 2
+        assert result.netlist == apply_retiming(slowed, result.lag)
+        assert critical_path(result.netlist).period == 2
 
 
 def test_min_period_retime_balanced_chain_unchanged(chain_net_text):
@@ -96,8 +95,8 @@ def test_min_period_retime_lags_preserve_io():
                 "wire a g 0 2\nwire g h 0 0\nwire h o 0 0\n")
     result = min_period_retime(net)
     assert result.period == 2
-    assert result.retiming.of("a") == 0
-    assert result.retiming.of("o") == 0
+    assert result.lag.get("a", 0) == 0
+    assert result.lag.get("o", 0) == 0
 
 
 def test_pipeline_examples(chain_net_text):
@@ -137,7 +136,7 @@ def test_check_equivalence_reflexive(ring_net_text):
 
 def test_check_equivalence_retimed_pair(ring_net_text):
     ring2 = cslow_transform(parse(ring_net_text), 2)
-    retimed = apply_retiming(ring2, min_period_retime(ring2).retiming)
+    retimed = min_period_retime(ring2).netlist
     report = check_equivalence(ring2, retimed, trials=64, cycles=128)
     assert report.passed
     assert report.warmup == flush_warmup(ring2, retimed)
@@ -286,7 +285,7 @@ def test_ring_meets_cycle_bound_with_equality(ring_net_text):
 
 def _oracle_matches(net):
     result = min_period_retime(net)
-    assert (result.period, result.retiming.lag) == refretime.min_period_retime(net)
+    assert (result.period, result.lag) == refretime.min_period_retime(net)
     return result
 
 
@@ -299,7 +298,10 @@ def test_min_period_retime_matches_dense_oracle(seed, c, safe_loops, max_gates,
     net = gennet.random_netlist(random.Random(seed), max_gates=max_gates,
                                 p_feedback=p_feedback, max_delay=max_delay,
                                 safe_loops=safe_loops)
-    _oracle_matches(cslow_transform(net, c))
+    slowed = cslow_transform(net, c)
+    result = _oracle_matches(slowed)
+    assert result.netlist == apply_retiming(slowed, result.lag)
+    assert critical_path(result.netlist).period == result.period
 
 
 def test_min_period_retime_matches_oracle_past_infeasible_probes(ring_net_text):
