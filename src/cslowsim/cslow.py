@@ -32,16 +32,22 @@ alone.  The C threads run one program in lock-step, each on a copy of the
 image as in private mode, and thread 0's copy, the one furthest ahead, is
 the shared store, also when a cycle limit stops the run.
 
-So `run_all` runs each thread to its halt, or to its last slot under the
-limit, on its own memory through `microcode.advance`: untraced, whole
-instructions at a time in the generated instruction loop; traced, one row
-per step, logged.  The reference it is tested against, in
-`tests/test_cslow.py`, steps C cores round-robin, one row per fast cycle,
-over one store per thread (shared memory: one store for all).
+So `run_all` runs each private or tagged thread to its halt, or to its
+last slot under the limit, on its own memory through `microcode.advance`:
+untraced, whole instructions at a time in the generated instruction loop;
+traced, one row per step, logged.  Shared memory is one run of thread 0 on
+the one store.  A limit gives the threads budgets that differ by at most one
+step, and thread t's state and log are thread 0's after its own budget: a
+thread that halted shares thread 0's state and its very log list, and one
+stopped a step behind gets thread 0's state and log from one step earlier.
+The reference it is tested against, in `tests/test_cslow.py`, steps C cores
+round-robin, one row per fast cycle, over one store per thread (shared
+memory: one store for all).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -84,7 +90,8 @@ class RunMetrics:
 
 
 def _thread_images(c: int, mode: MemoryMode, images) -> list:
-    """The image each of `c` threads starts from (no copies made), or
+    """The images the stores of `c` threads start from (no copies made):
+    one per thread, or in shared mode the one image they all share.  Raises
     BadThreadCount / ImageMismatch for a thread count or image list the
     machine does not take."""
     if not 1 <= c <= MAX_THREADS:
@@ -98,7 +105,7 @@ def _thread_images(c: int, mode: MemoryMode, images) -> list:
             if img.cells != images[0].cells:
                 raise ImageMismatch(
                     "shared memory needs one image; image %d differs from image 0" % i)
-        images = images[:1] * c  # lock-step copies: see the module docstring
+        return images[:1]
     if len(images) != c:
         raise BadThreadCount("expected %d images, got %d" % (c, len(images)))
     return images
@@ -106,12 +113,13 @@ def _thread_images(c: int, mode: MemoryMode, images) -> list:
 
 class CslowMachine:
     """C replicated CoreStates on the round-robin schedule, each run alone
-    on its own copy of its image."""
+    on its own copy of its image; in shared mode, one store and one run."""
 
     def __init__(self, config: CslowConfig, images):
         images = _thread_images(config.c, config.mode, images)
         self._memories = [img.copy() for img in images]
         self._initial = [img.copy() for img in images]
+        self._shared = config.mode is MemoryMode.SHARED
         self.config = config
         self.c = config.c
         self.contexts = [CoreState() for _ in range(self.c)]
@@ -120,14 +128,11 @@ class CslowMachine:
         self.traces = None
 
     def thread_memory(self, thread) -> MemoryImage:
-        """Snapshot of the memory as thread `thread` sees it.  The shared
-        store is thread 0's copy, the one furthest ahead."""
-        if self.config.mode is MemoryMode.SHARED:
-            thread = 0
-        return self._memories[thread].copy()
+        """Snapshot of the memory as thread `thread` sees it."""
+        return self._memories[0 if self._shared else thread].copy()
 
     def initial_image(self, thread) -> MemoryImage:
-        return self._initial[thread]
+        return self._initial[0 if self._shared else thread]
 
     def run_all(self, trace: bool = False) -> RunMetrics:
         """Run from reset until every thread has halted; stops at the fast
@@ -137,7 +142,9 @@ class CslowMachine:
 
         Each thread runs alone on its memory for the slots the schedule
         gives it within the limit; then every thread that halted sits on the
-        halt row, its traces padded, up to the end of the run.  Raises
+        halt row, its traces padded, up to the end of the run.  In shared
+        mode thread 0 alone runs (`_run_shared`), and the threads that
+        halted share one log list.  Raises
         CycleLimitExceeded, naming the threads still running and carrying
         their states, when that takes more than `max_fast_cycles` fast
         cycles, and ValueError on a machine that has already run.
@@ -146,12 +153,19 @@ class CslowMachine:
             raise ValueError("run_all runs a machine once, from reset")
         c = self.c
         limit = self.config.max_fast_cycles
+        budgets = [slots(limit, t, c) for t in range(c)]
+        if self._shared:
+            logs = self._run_shared(budgets, trace)
+        else:
+            logs = [[] if trace else None for _ in range(c)]
+            for ctx, memory, budget, log in zip(self.contexts, self._memories,
+                                                budgets, logs):
+                advance(ctx, memory.cells, budget, log)
         if trace:
-            self.traces = [[] for _ in range(c)]
-        logs = self.traces or [None] * c
+            self.traces = logs
         stuck = []
         for t, ctx in enumerate(self.contexts):
-            if advance(ctx, self._memories[t].cells, slots(limit, t, c), logs[t]):
+            if ctx.halted:
                 self.halt_cycle[t] = ctx.cycles
             else:
                 stuck.append(t)
@@ -160,6 +174,7 @@ class CslowMachine:
         else:
             total = independent_metrics(self.halt_cycle).fast_cycles_total
         # Halted threads keep their slots, on the halt row, until the end.
+        # (Never in shared mode, where every thread halts on the same step.)
         for t, (ctx, log) in enumerate(zip(self.contexts, logs)):
             end = slots(total, t, c)
             if log is not None:
@@ -172,6 +187,26 @@ class CslowMachine:
                 "threads %s not halted within %d fast cycles" % (stuck, limit),
                 state=[self.contexts[t] for t in stuck], threads=stuck)
         return self.metrics()
+
+    def _run_shared(self, budgets, trace) -> list:
+        """Run thread 0 on the one store, and give every thread its state
+        after its budget of steps; returns the threads' logs (all None
+        untraced).  Budgets fall with t by at most one step in all."""
+        lead = self.contexts[0]
+        log = [] if trace else None
+        advance(lead, self._memories[0].cells, budgets[-1], log)
+        behind, behind_log = copy.copy(lead), log
+        if not lead.halted and budgets[0] > budgets[-1]:
+            if log is not None:
+                behind_log = log[:]
+            advance(lead, self._memories[0].cells, budgets[0], log)
+        logs = []
+        for t, budget in enumerate(budgets):
+            ahead = budget == budgets[0]
+            if t:
+                self.contexts[t] = copy.copy(lead if ahead else behind)
+            logs.append(log if ahead else behind_log)
+        return logs
 
     def metrics(self) -> RunMetrics:
         if any(h is None for h in self.halt_cycle):
@@ -250,7 +285,9 @@ class Sweep:
 
     Thread t's image runs at most once, on the plain core, when the first
     row with a thread t comes up, and every row is the closed form of those
-    runs.
+    runs.  In shared mode the threads run one image in lock-step, so it runs
+    once, within the whole `max_cycles`, and its halt count serves every
+    thread of every row.  A row with a thread over its budget runs `compare`.
     """
 
     def __init__(self, images, mode: MemoryMode = MemoryMode.PRIVATE,
@@ -258,15 +295,22 @@ class Sweep:
         self.images = list(images)
         self.mode = mode
         self.max_cycles = max_cycles
-        self._halts = []  # thread t's cycles to halt; None: not within its budget
+        # Thread t's cycles to halt (shared: one entry for all threads);
+        # None: not within its budget.
+        self._halts = []
 
     def compare(self, c: int) -> CompareResult:
         row = self.images[:c]
-        threads = _thread_images(c, self.mode, row)
+        stores = _thread_images(c, self.mode, row)
         budgets = [slots(self.max_cycles, t, c) for t in range(c)]
-        for t in range(len(self._halts), c):
-            self._halts.append(_cycles_to_halt(threads[t], budgets[t]))
-        cycles = self._halts[:c]
+        if self.mode is MemoryMode.SHARED:
+            if not self._halts:
+                self._halts.append(_cycles_to_halt(stores[0], self.max_cycles))
+            cycles = self._halts * c
+        else:
+            for t in range(len(self._halts), c):
+                self._halts.append(_cycles_to_halt(stores[t], budgets[t]))
+            cycles = self._halts[:c]
         if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
             return _compare_result(sum(cycles[:len(row)]), independent_metrics(cycles))
         # A thread over its budget: the machine raises with its state.

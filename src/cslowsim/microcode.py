@@ -457,7 +457,14 @@ def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int
             return probe.cycles
 
 
+# One line per logged snapshot: cycle, micro-address, then pc, a, mar, ir
+# and buffer in hex, then z and c.  `format_trace` is the reference;
+# `write_trace` writes the same text `TRACE_CHUNK` lines at a time, each
+# chunk one f-string per line over a 256-entry table of "%02x" strings, so
+# no string of the whole file is ever built.  The table is built per call
+# (microseconds), so importing the module allocates nothing for it.
 TRACE_FORMAT = "%d %d %02x %02x %02x %02x %02x %d %d"
+TRACE_CHUNK = 4096
 
 
 def format_trace(trace) -> str:
@@ -465,5 +472,9 @@ def format_trace(trace) -> str:
 
 
 def write_trace(path, trace) -> None:
+    h = ["%02x" % v for v in range(256)]
     with open(path, "w") as fh:
-        fh.write(format_trace(trace))
+        for i in range(0, len(trace), TRACE_CHUNK):
+            fh.write("".join([
+                f"{k} {u} {h[pc]} {h[a]} {h[mar]} {h[ir]} {h[buf]} {z} {c}\n"
+                for k, u, pc, a, mar, ir, buf, z, c in trace[i:i + TRACE_CHUNK]]))

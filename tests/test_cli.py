@@ -109,6 +109,31 @@ def test_run_trace_file(chain_image, tmp_path, capsys):
     assert all(len(line.split()) == 9 for line in lines)
 
 
+@pytest.mark.parametrize("c", [2, 3, 8])
+def test_shared_traces_are_the_plain_core_trace(c, tmp_path, corpus_programs, capsys):
+    image = tmp_path / "memloop.hex"
+    assert run_cli(capsys, ["asm", str(corpus_programs[2]), str(image)])[0] == 0
+    base = tmp_path / "base.trc"
+    code, stdout, _ = run_cli(capsys, ["run", str(image), "--trace", str(base)])
+    assert code == 0
+    h = json.loads(stdout)["cycles"]
+    prefix = tmp_path / "tp"
+    code, _, _ = run_cli(capsys, ["run-cslow", str(image), "--mode", "shared",
+                                  "--c", str(c), "--trace", str(prefix)])
+    assert code == 0
+    files = sorted(tmp_path.glob("tp.t*.trc"))
+    assert [f.name for f in files] == ["tp.t%d.trc" % t for t in range(c)]
+    assert all(f.read_bytes() == base.read_bytes() for f in files)
+    # A cycle limit the run exceeds writes no trace at all.
+    for f in files:
+        f.unlink()
+    code, _, stderr = run_cli(capsys, ["run-cslow", str(image), "--mode", "shared",
+                                       "--c", str(c), "--trace", str(prefix),
+                                       "--max-cycles", str(h * c - 1)])
+    assert code == 2 and "not halted" in stderr
+    assert list(tmp_path.glob("tp*")) == []
+
+
 def test_run_cslow_three_programs(tmp_path, corpus_programs, capsys):
     images = []
     for i, src in enumerate(corpus_programs):

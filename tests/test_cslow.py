@@ -421,6 +421,25 @@ def test_shared_run_at_every_limit():
 
 
 @pytest.mark.parametrize("mode", list(MemoryMode))
+def test_run_all_advance_calls(mode, monkeypatch):
+    images = [asm(genprog.random_halting_program(random.Random(s))) for s in range(3)]
+    if mode is MemoryMode.SHARED:
+        images = images[:1]
+    calls = []
+    def counted(*args, _real=cslow.advance, **kwargs):
+        calls.append(args[0])
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(cslow, "advance", counted)
+    machine = CslowMachine(CslowConfig(3, mode), images)
+    machine.run_all(trace=True)
+    if mode is MemoryMode.SHARED:
+        assert calls and all(ctx is machine.contexts[0] for ctx in calls)
+        assert all(log is machine.traces[0] for log in machine.traces)
+    else:
+        assert calls == machine.contexts
+
+
+@pytest.mark.parametrize("mode", list(MemoryMode))
 def test_sweep_runs_each_thread_once(mode, monkeypatch):
     rng = random.Random(13)
     images = [asm(genprog.random_halting_program(rng)) for _ in range(MAX_THREADS)]
@@ -435,4 +454,5 @@ def test_sweep_runs_each_thread_once(mode, monkeypatch):
     sweep = Sweep(images, mode)
     for c in range(1, MAX_THREADS + 1):
         sweep.compare(c)
-    assert len(runs) == MAX_THREADS
+    # Shared threads run one image in lock-step: one run serves every row.
+    assert len(runs) == (1 if mode is MemoryMode.SHARED else MAX_THREADS)

@@ -14,6 +14,7 @@ from cslowsim.microcode import (
     HALT_SEQ,
     MICROPROGRAM,
     MICROPROGRAM_LENGTH,
+    TRACE_CHUNK,
     WORST,
     Cond,
     CoreState,
@@ -25,6 +26,7 @@ from cslowsim.microcode import (
     instruction_cycle_cost,
     run,
     step,
+    write_trace,
 )
 
 
@@ -240,6 +242,16 @@ def test_trace_format():
     fields = lines[2].split()
     assert len(fields) == 9
     assert fields[0] == "2" and fields[1] == "2"
+
+
+@pytest.mark.parametrize("rows", [0, 1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1])
+def test_write_trace_matches_format_trace(rows, tmp_path):
+    rng = random.Random(rows)
+    trace = [(k, rng.randrange(MICROPROGRAM_LENGTH), *rng.randbytes(5),
+              rng.randrange(2), rng.randrange(2)) for k in range(rows)]
+    path = tmp_path / "t.trc"
+    write_trace(path, trace)
+    assert path.read_text() == format_trace(trace)
 
 
 def test_halted_latch():
