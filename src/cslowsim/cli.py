@@ -78,7 +78,7 @@ def _run_report(images, config, trace_paths=None):
             first = written.setdefault(id(log), path)
             if first == path:
                 microcode.write_trace(path, log)
-            else:  # threads that share one log (shared memory) share its text
+            else:  # threads that share one log (one starting image) share its text
                 shutil.copyfile(first, path)
     return cslow.machine_report(machine, cslow.sequential_cycles(machine, images))
 

@@ -32,17 +32,18 @@ alone.  The C threads run one program in lock-step, each on a copy of the
 image as in private mode, and thread 0's copy, the one furthest ahead, is
 the shared store, also when a cycle limit stops the run.
 
-So `run_all` runs each private or tagged thread to its halt, or to its
-last slot under the limit, on its own memory through `microcode.advance`:
-untraced, whole instructions at a time in the generated instruction loop;
-traced, one row per step, logged.  Shared memory is one run of thread 0 on
-the one store.  A limit gives the threads budgets that differ by at most one
-step, and thread t's state and log are thread 0's after its own budget: a
-thread that halted shares thread 0's state and its very log list, and one
-stopped a step behind gets thread 0's state and log from one step earlier.
-The reference it is tested against, in `tests/test_cslow.py`, steps C cores
-round-robin, one row per fast cycle, over one store per thread (shared
-memory: one store for all).
+So in every mode, threads that start from equal images run once: they run
+one program in lock-step, and in shared mode their group's memory, the
+first thread's, is the one store.  `run_all` runs the first thread of each
+group to its halt, or to its last slot under the limit, on its own memory
+through `microcode.advance`: untraced, whole instructions at a time in the
+generated instruction loop; traced, one row per step, logged.  A limit gives
+the threads budgets that differ by at most one step, and each thread of the
+group takes the first one's state, memory and log after its own budget: a
+thread that halted shares them, the very log list included, and one stopped
+a step behind gets copies from one step earlier.  The reference it is
+tested against, in `tests/test_cslow.py`, steps C cores round-robin, one row
+per fast cycle, over one store per thread (shared memory: one store for all).
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class RunMetrics:
 
 
 def _thread_images(c: int, mode: MemoryMode, images) -> list:
-    """The images the stores of `c` threads start from (no copies made):
-    one per thread, or in shared mode the one image they all share.  Raises
+    """The images the stores of `c` threads start from (no copies made), one
+    per thread; in shared mode the one image, `c` times.  Raises
     BadThreadCount / ImageMismatch for a thread count or image list the
     machine does not take."""
     if not 1 <= c <= MAX_THREADS:
@@ -105,15 +106,15 @@ def _thread_images(c: int, mode: MemoryMode, images) -> list:
             if img.cells != images[0].cells:
                 raise ImageMismatch(
                     "shared memory needs one image; image %d differs from image 0" % i)
-        return images[:1]
+        return images[:1] * c
     if len(images) != c:
         raise BadThreadCount("expected %d images, got %d" % (c, len(images)))
     return images
 
 
 class CslowMachine:
-    """C replicated CoreStates on the round-robin schedule, each run alone
-    on its own copy of its image; in shared mode, one store and one run."""
+    """C replicated CoreStates on the round-robin schedule, each on its own
+    copy of its image; threads that start from equal images run once."""
 
     def __init__(self, config: CslowConfig, images):
         images = _thread_images(config.c, config.mode, images)
@@ -128,11 +129,12 @@ class CslowMachine:
         self.traces = None
 
     def thread_memory(self, thread) -> MemoryImage:
-        """Snapshot of the memory as thread `thread` sees it."""
+        """Snapshot of the memory as thread `thread` sees it (shared mode:
+        the one store, thread 0's)."""
         return self._memories[0 if self._shared else thread].copy()
 
     def initial_image(self, thread) -> MemoryImage:
-        return self._initial[0 if self._shared else thread]
+        return self._initial[thread]
 
     def run_all(self, trace: bool = False) -> RunMetrics:
         """Run from reset until every thread has halted; stops at the fast
@@ -140,11 +142,10 @@ class CslowMachine:
         schedule reaches there.  With `trace`, `traces[t]` logs thread t's
         state before each of its slots.
 
-        Each thread runs alone on its memory for the slots the schedule
-        gives it within the limit; then every thread that halted sits on the
-        halt row, its traces padded, up to the end of the run.  In shared
-        mode thread 0 alone runs (`_run_shared`), and the threads that
-        halted share one log list.  Raises
+        Each group of threads with equal starting images runs once
+        (`_run_group`), for the slots the schedule gives it within the
+        limit; then every thread that halted sits on the halt row, its
+        traces padded, up to the end of the run.  Raises
         CycleLimitExceeded, naming the threads still running and carrying
         their states, when that takes more than `max_fast_cycles` fast
         cycles, and ValueError on a machine that has already run.
@@ -154,13 +155,12 @@ class CslowMachine:
         c = self.c
         limit = self.config.max_fast_cycles
         budgets = [slots(limit, t, c) for t in range(c)]
-        if self._shared:
-            logs = self._run_shared(budgets, trace)
-        else:
-            logs = [[] if trace else None for _ in range(c)]
-            for ctx, memory, budget, log in zip(self.contexts, self._memories,
-                                                budgets, logs):
-                advance(ctx, memory.cells, budget, log)
+        groups = {}
+        for t, memory in enumerate(self._memories):
+            groups.setdefault(bytes(memory.cells), []).append(t)
+        logs = [None] * c
+        for threads in groups.values():
+            self._run_group(threads, budgets, trace, logs)
         if trace:
             self.traces = logs
         stuck = []
@@ -173,13 +173,13 @@ class CslowMachine:
             total = max(limit, 0)
         else:
             total = independent_metrics(self.halt_cycle).fast_cycles_total
-        # Halted threads keep their slots, on the halt row, until the end.
-        # (Never in shared mode, where every thread halts on the same step.)
-        for t, (ctx, log) in enumerate(zip(self.contexts, logs)):
+        # Halted threads keep their slots, on the halt row, until the end;
+        # a padded log is the thread's own, no longer its group's.
+        for t, ctx in enumerate(self.contexts):
             end = slots(total, t, c)
-            if log is not None:
+            if logs[t] is not None and ctx.cycles < end:
                 snap = ctx.snapshot()[1:]
-                log.extend((k,) + snap for k in range(ctx.cycles, end))
+                logs[t] = logs[t] + [(k,) + snap for k in range(ctx.cycles, end)]
             ctx.cycles = end
         self.fast_cycles = total
         if stuck:
@@ -188,25 +188,27 @@ class CslowMachine:
                 state=[self.contexts[t] for t in stuck], threads=stuck)
         return self.metrics()
 
-    def _run_shared(self, budgets, trace) -> list:
-        """Run thread 0 on the one store, and give every thread its state
-        after its budget of steps; returns the threads' logs (all None
-        untraced).  Budgets fall with t by at most one step in all."""
-        lead = self.contexts[0]
+    def _run_group(self, threads, budgets, trace, logs) -> None:
+        """Run the first of `threads` on its memory, and give every one its
+        state, memory and log (into `logs`; None untraced) after its budget
+        of steps.  Budgets fall with t by at most one step in all."""
+        lead = self.contexts[threads[0]]
+        memory = self._memories[threads[0]]
+        high, low = budgets[threads[0]], budgets[threads[-1]]
         log = [] if trace else None
-        advance(lead, self._memories[0].cells, budgets[-1], log)
-        behind, behind_log = copy.copy(lead), log
-        if not lead.halted and budgets[0] > budgets[-1]:
+        advance(lead, memory.cells, low, log)
+        behind, behind_memory, behind_log = copy.copy(lead), memory, log
+        if not lead.halted and high > low:
+            behind_memory = memory.copy()
             if log is not None:
                 behind_log = log[:]
-            advance(lead, self._memories[0].cells, budgets[0], log)
-        logs = []
-        for t, budget in enumerate(budgets):
-            ahead = budget == budgets[0]
-            if t:
+            advance(lead, memory.cells, high, log)
+        for t in threads:
+            ahead = budgets[t] == high
+            if t != threads[0]:
                 self.contexts[t] = copy.copy(lead if ahead else behind)
-            logs.append(log if ahead else behind_log)
-        return logs
+            self._memories[t] = memory if ahead else behind_memory
+            logs[t] = log if ahead else behind_log
 
     def metrics(self) -> RunMetrics:
         if any(h is None for h in self.halt_cycle):
@@ -283,11 +285,11 @@ def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
 class Sweep:
     """`compare` on the first C images, for one thread count C after another.
 
-    Thread t's image runs at most once, on the plain core, when the first
-    row with a thread t comes up, and every row is the closed form of those
-    runs.  In shared mode the threads run one image in lock-step, so it runs
-    once, within the whole `max_cycles`, and its halt count serves every
-    thread of every row.  A row with a thread over its budget runs `compare`.
+    Each distinct starting image runs at most once, on the plain core within
+    the whole `max_cycles`, when the first row with a thread on it comes up,
+    and every row is the closed form of those runs (in shared mode every
+    thread starts from the one image).  A row with a thread over its budget
+    runs `compare`.
     """
 
     def __init__(self, images, mode: MemoryMode = MemoryMode.PRIVATE,
@@ -295,22 +297,18 @@ class Sweep:
         self.images = list(images)
         self.mode = mode
         self.max_cycles = max_cycles
-        # Thread t's cycles to halt (shared: one entry for all threads);
-        # None: not within its budget.
-        self._halts = []
+        # An image's cells -> its cycles to halt; None: not within max_cycles.
+        self._halts = {}
 
     def compare(self, c: int) -> CompareResult:
         row = self.images[:c]
-        stores = _thread_images(c, self.mode, row)
+        cycles = []
+        for image in _thread_images(c, self.mode, row):
+            key = bytes(image.cells)
+            if key not in self._halts:
+                self._halts[key] = _cycles_to_halt(image, self.max_cycles)
+            cycles.append(self._halts[key])
         budgets = [slots(self.max_cycles, t, c) for t in range(c)]
-        if self.mode is MemoryMode.SHARED:
-            if not self._halts:
-                self._halts.append(_cycles_to_halt(stores[0], self.max_cycles))
-            cycles = self._halts * c
-        else:
-            for t in range(len(self._halts), c):
-                self._halts.append(_cycles_to_halt(stores[t], budgets[t]))
-            cycles = self._halts[:c]
         if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
             return _compare_result(sum(cycles[:len(row)]), independent_metrics(cycles))
         # A thread over its budget: the machine raises with its state.

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import genprog
 from cslowsim import cslow
@@ -350,12 +350,18 @@ def assert_same_machine(machine, ref):
 
 @settings(max_examples=90, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=8),
+       picks=st.none() | st.lists(st.integers(0, 2), min_size=1, max_size=8),
        mode=st.sampled_from(list(MemoryMode)),
        trace=st.booleans(), cut=st.integers(0, 1000))
-def test_run_all_matches_tick_loop(seeds, mode, trace, cut):
+# Threads 1 and 2 start from one image, and the mid-run limit stops thread 2
+# a step behind thread 1, whose step there wrote memory.
+@example(seeds=[0, 252], picks=[0, 1, 1], mode=MemoryMode.TAGGED, trace=True, cut=287)
+def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
     images = [asm(genprog.random_halting_program(random.Random(s))) for s in seeds]
     if mode is MemoryMode.SHARED:  # one program, a copy per thread
         images = images[:1] * len(images)
+    elif picks:  # threads drawn from the first 1-3 programs, with repeats
+        images = [images[i % len(images)].copy() for i in picks]
     c = len(images)
     ref, stuck = tick_oracle(CslowConfig(c, mode), images, trace)
     assert stuck == []
@@ -420,9 +426,18 @@ def test_shared_run_at_every_limit():
         assert_same_machine(machine, ref)
 
 
-@pytest.mark.parametrize("mode", list(MemoryMode))
-def test_run_all_advance_calls(mode, monkeypatch):
-    images = [asm(genprog.random_halting_program(random.Random(s))) for s in range(3)]
+# Which program each of eight threads starts from: distinct ones, one for
+# all (shared memory), or three with repeats.
+PICKS = [pytest.param(mode, (0,) * 8 if mode is MemoryMode.SHARED else tuple(range(8)),
+                      id="MemoryMode." + mode.name) for mode in MemoryMode] + [
+    pytest.param(MemoryMode.PRIVATE, (0, 1, 2, 1, 0, 0, 2, 1), id="private-repeats"),
+    pytest.param(MemoryMode.TAGGED, (2, 2, 0, 1, 2, 0, 1, 1), id="tagged-repeats")]
+
+
+@pytest.mark.parametrize("mode, picks", PICKS)
+def test_run_all_advance_calls(mode, picks, monkeypatch):
+    programs = [asm(genprog.random_halting_program(random.Random(s))) for s in range(8)]
+    images = [programs[i].copy() for i in picks]
     if mode is MemoryMode.SHARED:
         images = images[:1]
     calls = []
@@ -430,21 +445,29 @@ def test_run_all_advance_calls(mode, monkeypatch):
         calls.append(args[0])
         return _real(*args, **kwargs)
     monkeypatch.setattr(cslow, "advance", counted)
-    machine = CslowMachine(CslowConfig(3, mode), images)
+    machine = CslowMachine(CslowConfig(len(picks), mode), images)
     machine.run_all(trace=True)
-    if mode is MemoryMode.SHARED:
-        assert calls and all(ctx is machine.contexts[0] for ctx in calls)
-        assert all(log is machine.traces[0] for log in machine.traces)
-    else:
-        assert calls == machine.contexts
+    # One run per distinct image, on the first thread that starts from it.
+    firsts = [picks.index(i) for i in dict.fromkeys(picks)]
+    assert calls == [machine.contexts[t] for t in firsts]
+    # Threads from one image that halt on the same step share one log list;
+    # a log padded on the halt row is its thread's own.
+    logs = machine.traces
+    unpadded = [len(log) == h for log, h in zip(logs, machine.halt_cycle)]
+    for t, log in enumerate(logs):
+        sharing = [u for u, other in enumerate(logs) if other is log]
+        if unpadded[t]:
+            assert sharing == [u for u, i in enumerate(picks)
+                               if i == picks[t] and unpadded[u]]
+        else:
+            assert sharing == [t]
 
 
-@pytest.mark.parametrize("mode", list(MemoryMode))
-def test_sweep_runs_each_thread_once(mode, monkeypatch):
+@pytest.mark.parametrize("mode, picks", PICKS)
+def test_sweep_runs_each_thread_once(mode, picks, monkeypatch):
     rng = random.Random(13)
-    images = [asm(genprog.random_halting_program(rng)) for _ in range(MAX_THREADS)]
-    if mode is MemoryMode.SHARED:
-        images = images[:1] * MAX_THREADS
+    programs = [asm(genprog.random_halting_program(rng)) for _ in range(MAX_THREADS)]
+    images = [programs[i].copy() for i in picks]
     runs = []
     for name in ("run", "advance"):
         def counted(*args, _name=name, _real=getattr(cslow, name), **kwargs):
@@ -454,5 +477,6 @@ def test_sweep_runs_each_thread_once(mode, monkeypatch):
     sweep = Sweep(images, mode)
     for c in range(1, MAX_THREADS + 1):
         sweep.compare(c)
-    # Shared threads run one image in lock-step: one run serves every row.
-    assert len(runs) == (1 if mode is MemoryMode.SHARED else MAX_THREADS)
+    # Threads that start from one image run it in lock-step: one run serves
+    # every thread of every row that starts from it.
+    assert len(runs) == len(set(picks))

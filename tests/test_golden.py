@@ -12,7 +12,9 @@ two generated-netlist `retime` cases before the retimer moved from dense
 W/D tables to FEAS.  None changed when the plain and C-slow equivalence
 checks became one checker and `retime --cycles` came to default to 256
 compared cycles past the warm-up, nor when plain retiming became C-slow at
-C = 1 and the retimer came to return the netlist it verified.
+C = 1 and the retimer came to return the netlist it verified.  The four
+repeated-image private cases were added, with their digests, before private
+and tagged threads that start from one image came to run once.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """
@@ -88,6 +90,16 @@ def cases():
         yield ("bench shared --max-cycles %d" % limit,
                ["bench", *["memloop.asm"] * 3, "--mode", "shared",
                 "--max-cycles", str(limit), "--json", "bench.json"])
+    # Private threads that start from one image, stopped as above and at
+    # 787 (threads 1 and 2 a step behind thread 0 in the halting round).
+    for limit in (13, 50, 5000):
+        yield ("bench private memloop countdown memloop --max-cycles %d" % limit,
+               ["bench", "memloop.asm", "countdown.asm", "memloop.asm",
+                "--mode", "private", "--max-cycles", str(limit),
+                "--json", "bench.json"])
+    yield ("run-cslow private 3 memloop --max-cycles 787",
+           ["run-cslow", *["memloop.hex"] * 3, "--mode", "private",
+            "--max-cycles", "787"])
     # `retime`: every transform the CLI offers, checked, on netlists where
     # it is right, and the refusal to pipeline a loop (exit 1).
     for net in ("ring", "toggle"):
@@ -190,6 +202,14 @@ GOLDEN = {
         "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
     "bench shared --max-cycles 13":
         "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+    "bench private memloop countdown memloop --max-cycles 13":
+        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+    "bench private memloop countdown memloop --max-cycles 50":
+        "f1a5d62cfbf3c9fc632a9d97df39c19990a81b1d8df966c7e13d2ab716a81177",
+    "bench private memloop countdown memloop --max-cycles 5000":
+        "852548e8536c1f6d48fa0e39c3fa51501a050690062e4e830b2fc5bebebfc962",
+    "run-cslow private 3 memloop --max-cycles 787":
+        "ae570d5a2ac8cf5a7f2fe258aa105ea917cac6be5532ef2fe95085491914a93b",
     "retime ring --cslow 3 --check 20":
         "b0ab0f68b6b0b5a5613e7463cd3cf8be13df133397cd04f9a1274ca05fb0e260",
     "retime toggle --cslow 3 --check 20":
