@@ -285,11 +285,12 @@ def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
 class Sweep:
     """`compare` on the first C images, for one thread count C after another.
 
-    Each distinct starting image runs at most once, on the plain core within
-    the whole `max_cycles`, when the first row with a thread on it comes up,
-    and every row is the closed form of those runs (in shared mode every
-    thread starts from the one image).  A row with a thread over its budget
-    runs `compare`.
+    Each distinct starting image runs on the plain core when the first row
+    with a thread on it comes up, within that thread's budget, and every
+    row is the closed form of those runs (in shared mode every thread
+    starts from the one image).  An image that did not halt runs again only
+    for a thread with a larger budget, so one that halts runs once.  A row
+    with a thread over its budget runs `compare`.
     """
 
     def __init__(self, images, mode: MemoryMode = MemoryMode.PRIVATE,
@@ -297,18 +298,22 @@ class Sweep:
         self.images = list(images)
         self.mode = mode
         self.max_cycles = max_cycles
-        # An image's cells -> its cycles to halt; None: not within max_cycles.
+        # An image's cells -> (its cycles to halt, None if it did not halt
+        # within the budget it ran at; that budget).
         self._halts = {}
 
     def compare(self, c: int) -> CompareResult:
         row = self.images[:c]
-        cycles = []
-        for image in _thread_images(c, self.mode, row):
-            key = bytes(image.cells)
-            if key not in self._halts:
-                self._halts[key] = _cycles_to_halt(image, self.max_cycles)
-            cycles.append(self._halts[key])
+        # Budgets fall with t: the first thread on an image has the row's
+        # largest budget for it.
         budgets = [slots(self.max_cycles, t, c) for t in range(c)]
+        cycles = []
+        for image, budget in zip(_thread_images(c, self.mode, row), budgets):
+            key = bytes(image.cells)
+            h, ran = self._halts.get(key, (None, 0))
+            if h is None and ran < budget:
+                h, ran = self._halts[key] = _cycles_to_halt(image, budget), budget
+            cycles.append(h)
         if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
             return _compare_result(sum(cycles[:len(row)]), independent_metrics(cycles))
         # A thread over its budget: the machine raises with its state.

@@ -13,12 +13,15 @@ File format (line-based, `#` comments):
     gate <name> <kind> <delay>
     wire <from> <to> <pin> <weight>
 
-Simulation is compiled: `simulate` turns the netlist into one Python
-function whose loop body is straight-line code for a cycle, nodes in
-register-free topological order.  A register pipeline is not stored per
-register: each node that drives registers keeps a bounded deque of its own
-last d values, d being the largest weight on its outgoing wires, and a
-wire of weight k reads the value from k cycles back.
+Simulation is compiled: the first `simulate` call on a netlist turns it
+into one Python function whose loop body is straight-line code for a cycle,
+nodes in register-free topological order, and keeps that function on the
+netlist for later calls.  A register pipeline is not stored per register:
+each node that drives registers keeps its own last d values, d being the
+largest weight on its outgoing wires, and a wire of weight k reads the
+value from k cycles back.  Up to `LOCAL_DEPTH` values are locals that
+shift by plain assignments each cycle; a deeper history is a bounded
+deque that takes one append.
 """
 
 from __future__ import annotations
@@ -88,12 +91,16 @@ class Netlist:
 
     def __init__(self, nodes, edges):
         self.nodes = {n.name: n for n in nodes}
+        self._set_edges(edges, validate)
+
+    def _set_edges(self, edges, check):
         self.edges = tuple(edges)
         # Node names in register-free topological order, for the walks of
         # `critical_path` and the compiled simulator.
-        violations, self.order = validate(self.nodes, self.edges)
+        violations, self.order = check(self.nodes, self.edges)
         if violations:
             raise NetlistError(violations)
+        self._simulator = None  # `simulate`'s compiled function, built once
 
     def inputs(self):
         return [n.name for n in self.nodes.values() if n.kind is NodeKind.INPUT]
@@ -109,10 +116,16 @@ class Netlist:
         return sum(e.weight for e in self.edges)
 
     def with_weights(self, weights) -> "Netlist":
-        """Same structure with edge weights replaced (one per edge, in order)."""
-        new_edges = [Edge(e.src, e.dst, e.pin, w)
-                     for e, w in zip(self.edges, weights, strict=True)]
-        return Netlist(self.nodes.values(), new_edges)
+        """Same structure with edge weights replaced (one per edge, in order).
+
+        Only the weights change, so only what depends on them is checked
+        again: no weight may be negative, and no register-free loop may
+        close."""
+        new = object.__new__(Netlist)
+        new.nodes = self.nodes
+        new._set_edges([Edge(e.src, e.dst, e.pin, w)
+                        for e, w in zip(self.edges, weights, strict=True)], _reweighted)
+        return new
 
     def __eq__(self, other):
         return (isinstance(other, Netlist)
@@ -158,22 +171,38 @@ def validate(nodes, edges):
             if (n.name, pin) not in drivers:
                 violations.append("pin %d of '%s' is undriven" % (pin, n.name))
 
+    cycle, order = _register_free_order(nodes, edges)
+    return violations + cycle, order
+
+
+def _reweighted(nodes, edges):
+    """`validate` for the edges of a valid netlist with new weights."""
+    violations = ["wire %s->%s has negative weight" % (e.src, e.dst)
+                  for e in edges if e.weight < 0]
+    if violations:
+        return violations, []
+    return _register_free_order(nodes, edges)
+
+
+def _register_free_order(nodes, edges):
+    """A combinational-cycle violation, if any, and the node names in
+    register-free topological order."""
     arcs = [(e.src, e.dst) for e in edges if e.weight == 0]
     order = topological_order(nodes, arcs)
-    if len(order) < len(nodes):
-        # Each node the order left out has a register-free predecessor among
-        # them, so walking back from one closes a cycle.
-        left = set(nodes).difference(order)
-        pred = {dst: src for src, dst in arcs if src in left}
-        path, at = [], {}
-        name = next(n for n in nodes if n in left)
-        while name not in at:
-            at[name] = len(path)
-            path.append(name)
-            name = pred[name]
-        cycle = path[at[name]:] + [name]
-        violations.append("combinational cycle: %s" % " -> ".join(reversed(cycle)))
-    return violations, order
+    if len(order) == len(nodes):
+        return [], order
+    # Each node the order left out has a register-free predecessor among
+    # them, so walking back from one closes a cycle.
+    left = set(nodes).difference(order)
+    pred = {dst: src for src, dst in arcs if src in left}
+    path, at = [], {}
+    name = next(n for n in nodes if n in left)
+    while name not in at:
+        at[name] = len(path)
+        path.append(name)
+        name = pred[name]
+    cycle = path[at[name]:] + [name]
+    return ["combinational cycle: %s" % " -> ".join(reversed(cycle))], order
 
 
 def topological_order(names, arcs) -> list:
@@ -309,42 +338,67 @@ _EXPR = {
 }
 
 
+# A driving node whose deepest outgoing wire holds at most this many
+# registers keeps its recent values in locals; a deeper one, in a deque.
+# Locals cost an assignment per value and cycle, a deque an append per
+# cycle and an index per wire read: on CPython 3.11 the two break even
+# near depth 8, 11 and 15 for a node read by one, two and three wires.
+LOCAL_DEPTH = 12
+
+
 def _compile(netlist):
     """Source of `run(cycles, mask, *input streams)`, which simulates
     `netlist` and returns one output stream per `netlist.outputs()` name,
     in that order; also the input names in parameter order.
 
-    Node i (in zero-weight topological order) is the local `v<i>`, its
-    register deque `q<i>`, and its stream `s<i>` if it is an input or an
-    output.  No netlist string reaches the source: identifiers are built
+    Node i (in zero-weight topological order) is the local `v<i>`, and its
+    stream `s<i>` if it is an input or an output; an output appends through
+    the bound method `a<i>`.  A node whose deepest outgoing wire holds d
+    registers keeps its last d values in `r<i>_1`..`r<i>_d`, shifted each
+    cycle, when d is at most `LOCAL_DEPTH`, and in the bounded deque `q<i>`
+    otherwise.  No netlist string reaches the source: identifiers are built
     from indices alone.
     """
     order = netlist.order
     index = {name: i for i, name in enumerate(order)}
-    fanin = {}
     depth = {}  # register source index -> deepest wire it drives
     for e in netlist.edges:
-        i = index[e.src]
         if e.weight:
-            fanin[(e.dst, e.pin)] = "q%d[-%d]" % (i, e.weight)
+            i = index[e.src]
             depth[i] = max(depth.get(i, 0), e.weight)
-        else:
-            fanin[(e.dst, e.pin)] = "v%d" % i
+
+    def read(e):
+        i = index[e.src]
+        if not e.weight:
+            return "v%d" % i
+        if depth[i] <= LOCAL_DEPTH:
+            return "r%d_%d" % (i, e.weight)
+        return "q%d[-%d]" % (i, e.weight)
+
+    fanin = {(e.dst, e.pin): read(e) for e in netlist.edges}
     inputs = [name for name in order if netlist.nodes[name].kind is NodeKind.INPUT]
     outputs = [index[name] for name in netlist.outputs()]
 
-    step = []
+    start, step = [], []
     for i, name in enumerate(order):
         kind = netlist.nodes[name].kind
         args = (("s%d" % i,) if kind is NodeKind.INPUT else
                 tuple(fanin[(name, p)] for p in range(ARITY[kind])))
         step.append("v%d = %s" % (i, _EXPR[kind] % args))
-    step += ["s%d.append(v%d)" % (i, i) for i in outputs]
-    step += ["q%d.append(v%d)" % (i, i) for i in depth]
+    step += ["a%d(v%d)" % (i, i) for i in outputs]
+    for i, d in depth.items():
+        if d <= LOCAL_DEPTH:
+            start += ["r%d_%d = 0" % (i, k) for k in range(1, d + 1)]
+            step += ["r%d_%d = r%d_%d" % (i, k, i, k - 1) for k in range(d, 1, -1)]
+            step.append("r%d_1 = v%d" % (i, i))
+        else:
+            start.append("q%d = deque([0] * %d, %d)" % (i, d, d))
+            step.append("q%d.append(v%d)" % (i, i))
+    for i in outputs:
+        start += ["s%d = []" % i, "a%d = s%d.append" % (i, i)]
 
     lines = ["def run(cycles, mask%s):" % "".join(", s%d" % index[name] for name in inputs)]
-    lines += ["    q%d = deque([0] * %d, %d)" % (i, d, d) for i, d in depth.items()]
-    lines += ["    s%d = []" % i for i in outputs]
+    lines += ["    " + line for line in start]
     lines.append("    for t in range(cycles):")
     lines += ["        " + line for line in step or ["pass"]]
     lines.append("    return [%s]" % ", ".join("s%d" % i for i in outputs))
@@ -361,11 +415,15 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dic
     Registers start at 0; outputs are sampled after combinational settling
     each cycle, then every register pipeline shifts.
 
-    Each call compiles the netlist into one Python function whose loop
-    body is straight-line code for a cycle (see `_compile`): one
-    assignment per node, one bitwise expression per gate.  Registers are
-    kept per driving node as a bounded deque of its recent values, so a
-    cycle costs one append per such node, whatever the wire weights.
+    The first call on a netlist compiles it into one Python function whose
+    loop body is straight-line code for a cycle (see `_compile`): one
+    assignment per node, one bitwise expression per gate.  The function is
+    kept on the netlist, which is immutable by convention, so later calls
+    on it compile nothing.  Registers are kept per driving node, not per
+    register: up to `LOCAL_DEPTH` deep as locals that shift by plain
+    assignments, deeper as a bounded deque that takes one append a cycle,
+    so neither the source nor a cycle's work grows with a wire's depth
+    past that bound.
     """
     missing = [name for name in netlist.inputs() if name not in inputs]
     if missing:
@@ -374,11 +432,14 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dic
         if len(inputs[name]) < cycles:
             raise ValueError("input stream '%s' shorter than %d cycles" % (name, cycles))
 
-    source, order = _compile(netlist)
-    namespace = {"deque": deque}
-    exec(compile(source, "<netlist>", "exec"), namespace)
-    # Popped, not read: the function keeps `namespace` as its globals, and
-    # leaving it there too would be a reference cycle only the GC frees.
-    run = namespace.pop("run")
+    if netlist._simulator is None:
+        source, order = _compile(netlist)
+        namespace = {"deque": deque}
+        exec(compile(source, "<netlist>", "exec"), namespace)
+        # Popped, not read: the function keeps `namespace` as its globals,
+        # and leaving it there too would be a reference cycle only the GC
+        # frees.
+        netlist._simulator = namespace.pop("run"), order
+    run, order = netlist._simulator
     streams = run(cycles, (1 << lanes) - 1, *(inputs[name] for name in order))
     return dict(zip(netlist.outputs(), streams))

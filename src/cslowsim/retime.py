@@ -54,6 +54,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import and_, lshift, or_, rshift
 
 from .netlist import Netlist, NodeKind, critical_path, simulate, topological_order
 
@@ -282,26 +284,31 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
     if start >= cycles:
         raise ValueError("need more than %d cycles to compare past warm-up %d "
                          "and shift %d" % (start, warmup, shift))
-    rng = random.Random(seed)
-    slots = [{name: [rng.getrandbits(trials) for _ in range(cycles)]
-              for name in a.inputs()} for _ in range(factor)]
+    getrandbits = random.Random(seed).getrandbits
+    names = a.inputs()
+    slots = [{name: list(map(getrandbits, repeat(trials, cycles))) for name in names}
+             for _ in range(factor)]
     # b sees slot j's streams at its cycles j, j+factor, ...; a runs once
     # for every slot, with slot j's trials in lanes j*trials onwards.
     fast_streams, packed = {}, {}
-    for name in a.inputs():
+    for name in names:
         fast = [0] * (factor * cycles)
-        column = [0] * cycles
+        column = slots[0][name]
         for j, streams in enumerate(slots):
             fast[j::factor] = streams[name]
-            column = [v | (w << (j * trials)) for v, w in zip(column, streams[name])]
+            if j:
+                column = list(map(or_, column,
+                                  map(lshift, streams[name], repeat(j * trials))))
         fast_streams[name], packed[name] = fast, column
     outs_a = simulate(a, packed, cycles, lanes=factor * trials)
     outs_b = simulate(b, fast_streams, factor * cycles, lanes=trials)
-    mask = (1 << trials) - 1
+    masks = repeat((1 << trials) - 1)
     for j in range(factor):
         for name in a.outputs():
-            want = [(v >> (j * trials)) & mask
-                    for v in outs_a[name][warmup:cycles - shift]]
+            lanes = outs_a[name][warmup:cycles - shift]
+            if j:
+                lanes = map(rshift, lanes, repeat(j * trials))
+            want = list(map(and_, lanes, masks))
             got = outs_b[name][factor * start + j::factor]
             if got != want:
                 t = start + next(t for t, (g, w) in enumerate(zip(got, want)) if g != w)

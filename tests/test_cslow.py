@@ -480,3 +480,32 @@ def test_sweep_runs_each_thread_once(mode, picks, monkeypatch):
     # Threads that start from one image run it in lock-step: one run serves
     # every thread of every row that starts from it.
     assert len(runs) == len(set(picks))
+
+
+def test_sweep_stops_a_looping_image_at_its_row_budget(monkeypatch):
+    # Seven equal programs that halt, then one that never does: the halting
+    # image runs once, within row 1's budget, and the loop within thread
+    # 7's budget in row 8, not the whole limit.
+    images = [asm("CMA\nHALT")] * 7 + [asm("L: LOAD Z\nSUB Z\nJOZ L\nZ: .word 0")]
+    budgets = []
+    def recorded(image, max_cycles, *args, _real=cslow.run, **kwargs):
+        budgets.append(max_cycles)
+        return _real(image, max_cycles, *args, **kwargs)
+    monkeypatch.setattr(cslow, "run", recorded)
+    limit = 10_000
+    sweep = Sweep(images, MemoryMode.PRIVATE, limit)
+    for c in range(1, 8):
+        assert sweep.compare(c).max_rounds == run(images[0]).cycles
+    with pytest.raises(CycleLimitExceeded) as exc:
+        sweep.compare(8)
+    assert exc.value.threads == [7]
+    assert budgets == [limit, cslow.slots(limit, 7, 8)]
+    # The loop's `None` holds for every row that gives it no larger budget,
+    # and a row that does runs it again.
+    with pytest.raises(CycleLimitExceeded):
+        sweep.compare(8)
+    loops = Sweep(images[7:] * 2, MemoryMode.PRIVATE, limit)
+    for c in (2, 1, 2):
+        with pytest.raises(CycleLimitExceeded):
+            loops.compare(c)
+    assert budgets[2:] == [cslow.slots(limit, 0, 2), limit]

@@ -5,9 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import gennet
 import refnet
+from cslowsim import netlist
 from cslowsim.netlist import (
     ARITY,
     GATE_KINDS,
+    LOCAL_DEPTH,
     Edge,
     Netlist,
     NetlistError,
@@ -18,6 +20,7 @@ from cslowsim.netlist import (
     simulate,
     to_text,
 )
+from cslowsim.retime import cslow_transform
 
 
 def test_parse_chain_fixture(chain_net_text):
@@ -239,11 +242,16 @@ _INVERTING_LOOPS = parse(
     "wire na no 0 2\nwire a no 1 0\nwire no o 0 0\nwire n deep 0 4096\n")
 
 
-@settings(max_examples=50, deadline=None)
-@given(net=netlists(), lanes=st.sampled_from([1, 3, 100]),
-       cycles=st.integers(0, 40), seed=st.integers(0, 2**32))
-@example(net=_INVERTING_LOOPS, lanes=3, cycles=40, seed=7)
-def test_simulate_matches_reference_lane_by_lane(net, lanes, cycles, seed):
+# Node x's deepest wire holds exactly LOCAL_DEPTH registers and y's one
+# more, so x keeps its history in locals and y in a deque; each also
+# drives a shallower wire.
+_AT_THE_BOUND = parse(
+    "input a\ngate x XOR 1\ngate y NAND 1\noutput o\noutput p\n"
+    "wire a x 0 0\nwire y x 1 %d\nwire x y 0 %d\nwire a y 1 0\n"
+    "wire x o 0 1\nwire y p 0 2\n" % (LOCAL_DEPTH + 1, LOCAL_DEPTH))
+
+
+def assert_matches_reference(net, lanes, cycles, seed):
     rng = random.Random(seed)
     # Streams run past `cycles` and carry bits above the top lane.
     streams = {name: [rng.getrandbits(lanes + 2) for _ in range(cycles + 2)]
@@ -256,6 +264,57 @@ def test_simulate_matches_reference_lane_by_lane(net, lanes, cycles, seed):
         for name in net.outputs():
             assert [(v >> lane) & 1 for v in outs[name]] == ref[name], (name, lane)
     assert all(v >> lanes == 0 for s in outs.values() for v in s)
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=netlists(), lanes=st.sampled_from([1, 3, 100]),
+       cycles=st.integers(0, 40), seed=st.integers(0, 2**32))
+@example(net=_INVERTING_LOOPS, lanes=3, cycles=40, seed=7)
+@example(net=_AT_THE_BOUND, lanes=3, cycles=40, seed=5)
+def test_simulate_matches_reference_lane_by_lane(net, lanes, cycles, seed):
+    assert_matches_reference(net, lanes, cycles, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=netlists(), lanes=st.sampled_from([1, 3, 100]),
+       cycles=st.integers(0, 40), seed=st.integers(0, 2**32))
+def test_simulate_cslowed_matches_reference_lane_by_lane(net, lanes, cycles, seed):
+    # The source netlist is simulated first: the 3-slowed one, derived from
+    # it by `with_weights`, must not run its compiled function.
+    simulate(net, {name: [0] * cycles for name in net.inputs()}, cycles)
+    assert_matches_reference(cslow_transform(net, 3), lanes, cycles, seed)
+
+
+def test_simulate_compiles_each_netlist_once(monkeypatch):
+    rng = random.Random(9)
+    text = to_text(gennet.random_netlist(rng, max_gates=8, max_weight=LOCAL_DEPTH + 3,
+                                         safe_loops=False))
+    net = parse(text)
+    source = netlist._compile(net)[0]
+    assert "_1 = v" in source and "deque" in source  # both kinds of history
+    compiled = []
+    def counted(net, _real=netlist._compile):
+        compiled.append(net)
+        return _real(net)
+    monkeypatch.setattr(netlist, "_compile", counted)
+    for cycles, lanes in ((30, 1), (7, 100), (0, 3), (50, 64)):
+        streams = {name: [rng.getrandbits(lanes) for _ in range(cycles)]
+                   for name in net.inputs()}
+        assert simulate(net, streams, cycles, lanes) == simulate(
+            parse(text), streams, cycles, lanes)
+    # Once for `net`, once for each fresh copy.
+    assert [c is net for c in compiled] == [True] + [False] * 4
+
+
+def test_compiled_source_does_not_grow_past_the_bound():
+    def source(depth):
+        return netlist._compile(parse(
+            "input a\noutput o\ngate g BUF 1\nwire a g 0 0\nwire g o 0 %d\n"
+            % depth))[0]
+    past = LOCAL_DEPTH + 1
+    for depth in (past + 1, 4096, 200_000):
+        assert source(depth) == source(past).replace(str(past), str(depth))
+    assert len(source(LOCAL_DEPTH)) > len(source(past))
 
 
 def test_simulate_node_names_that_are_not_identifiers():
@@ -295,3 +354,15 @@ def test_netlist_constructor_validates():
         Netlist([Node("o", NodeKind.OUTPUT)], [])
     with pytest.raises(NetlistError):
         Netlist([Node("g", NodeKind.BUF, 1)], [Edge("g", "g", 0, 0)])
+
+
+def test_with_weights_refuses_negative_weights_and_register_free_loops(ring_net_text):
+    ring = parse(ring_net_text)
+    weights = [e.weight for e in ring.edges]
+    with pytest.raises(NetlistError, match="wire in->g1 has negative weight"):
+        ring.with_weights([-1] + weights[1:])
+    with pytest.raises(NetlistError, match="combinational cycle: g1 -> g2"):
+        ring.with_weights([0] * len(weights))
+    moved = ring.with_weights([1 if e.src == "g3" else 0 for e in ring.edges])
+    assert moved.order.index("g4") < moved.order.index("g1") < moved.order.index("g3")
+    assert ring.with_weights(weights) == ring
