@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 
 from . import cslow, isa, microcode, netlist, retime
@@ -71,15 +70,7 @@ def cmd_asm(args) -> int:
 
 def _run_report(images, config, trace_paths=None):
     machine = cslow.CslowMachine(config, images)
-    machine.run_all(trace=bool(trace_paths))
-    if trace_paths:
-        written = {}  # id of a log -> the file it was written to
-        for path, log in zip(trace_paths, machine.traces):
-            first = written.setdefault(id(log), path)
-            if first == path:
-                microcode.write_trace(path, log)
-            else:  # threads that share one log (one starting image) share its text
-                shutil.copyfile(first, path)
+    machine.run_all(trace_paths)
     return cslow.machine_report(machine, cslow.sequential_cycles(machine, images))
 
 

@@ -36,23 +36,33 @@ So in every mode, threads that start from equal images run once: they run
 one program in lock-step, and in shared mode their group's memory, the
 first thread's, is the one store.  `run_all` runs the first thread of each
 group to its halt, or to its last slot under the limit, on its own memory
-through `microcode.advance`: untraced, whole instructions at a time in the
-generated instruction loop; traced, one row per step, logged.  A limit gives
-the threads budgets that differ by at most one step, and each thread of the
-group takes the first one's state, memory and log after its own budget: a
-thread that halted shares them, the very log list included, and one stopped
-a step behind gets copies from one step earlier.  The reference it is
-tested against, in `tests/test_cslow.py`, steps C cores round-robin, one row
-per fast cycle, over one store per thread (shared memory: one store for all).
+through `microcode.advance`, whole instructions at a time in the generated
+instruction loop.  A limit gives the threads budgets that differ by at most
+one step, and each thread of the group takes the first one's state and
+memory after its own budget: a thread that halted shares the memory, and
+one stopped a step behind gets copies from one step earlier.
+
+Traces are files, not logs.  The first thread of a group streams its trace
+into a temporary file beside its own path, and once every thread has halted
+each thread of the group gets a copy of that text plus its own halt-row
+lines.  A thread stopped a step behind has not halted, so that run raises
+CycleLimitExceeded: then every temporary file is removed and no trace file
+is written, and existing files at those paths stay as they were.  The
+reference `run_all` is tested against, in `tests/test_cslow.py`, steps C
+cores round-robin, one row per fast cycle, over one store per thread
+(shared memory: one store for all), keeping a snapshot per step.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import microcode
 from .isa import MEMORY_SIZE, MemoryImage
 from .microcode import CoreState, CycleLimitExceeded, advance, run
 
@@ -126,7 +136,6 @@ class CslowMachine:
         self.contexts = [CoreState() for _ in range(self.c)]
         self.fast_cycles = 0
         self.halt_cycle = [None] * self.c
-        self.traces = None
 
     def thread_memory(self, thread) -> MemoryImage:
         """Snapshot of the memory as thread `thread` sees it (shared mode:
@@ -136,19 +145,24 @@ class CslowMachine:
     def initial_image(self, thread) -> MemoryImage:
         return self._initial[thread]
 
-    def run_all(self, trace: bool = False) -> RunMetrics:
+    def run_all(self, trace_paths=None) -> RunMetrics:
         """Run from reset until every thread has halted; stops at the fast
         cycle that halts the last one, in the state the round-robin
-        schedule reaches there.  With `trace`, `traces[t]` logs thread t's
-        state before each of its slots.
+        schedule reaches there.  With `trace_paths`, one path per thread,
+        thread t's trace, its state before each of its slots, goes to the
+        file `trace_paths[t]`.
 
         Each group of threads with equal starting images runs once
         (`_run_group`), for the slots the schedule gives it within the
-        limit; then every thread that halted sits on the halt row, its
-        traces padded, up to the end of the run.  Raises
-        CycleLimitExceeded, naming the threads still running and carrying
-        their states, when that takes more than `max_fast_cycles` fast
-        cycles, and ValueError on a machine that has already run.
+        limit; then every thread that halted sits on the halt row up to
+        the end of the run.  Traced, the first thread of each group writes
+        its run's text to a temporary file beside its own path, and each
+        thread of the group gets a copy of that text plus its halt-row
+        lines (`microcode.write_trace`).
+        Raises CycleLimitExceeded, naming the threads still running and
+        carrying their states, when that takes more than `max_fast_cycles`
+        fast cycles; then no trace file is written or changed.  Raises
+        ValueError on a machine that has already run.
         """
         if self.fast_cycles:
             raise ValueError("run_all runs a machine once, from reset")
@@ -158,29 +172,33 @@ class CslowMachine:
         groups = {}
         for t, memory in enumerate(self._memories):
             groups.setdefault(bytes(memory.cells), []).append(t)
-        logs = [None] * c
-        for threads in groups.values():
-            self._run_group(threads, budgets, trace, logs)
-        if trace:
-            self.traces = logs
-        stuck = []
-        for t, ctx in enumerate(self.contexts):
-            if ctx.halted:
-                self.halt_cycle[t] = ctx.cycles
+        heads = {}  # first thread of each group -> its run's trace file
+        try:
+            for threads in groups.values():
+                if trace_paths:
+                    heads[threads[0]] = _temp_beside(trace_paths[threads[0]])
+                self._run_group(threads, budgets, heads.get(threads[0]))
+            stuck = []
+            for t, ctx in enumerate(self.contexts):
+                if ctx.halted:
+                    self.halt_cycle[t] = ctx.cycles
+                else:
+                    stuck.append(t)
+            if stuck:  # the schedule stops at the limit, or at once below 1
+                total = max(limit, 0)
             else:
-                stuck.append(t)
-        if stuck:  # the schedule stops at the limit, or at once below 1
-            total = max(limit, 0)
-        else:
-            total = independent_metrics(self.halt_cycle).fast_cycles_total
-        # Halted threads keep their slots, on the halt row, until the end;
-        # a padded log is the thread's own, no longer its group's.
+                total = independent_metrics(self.halt_cycle).fast_cycles_total
+                if trace_paths:
+                    for threads in groups.values():
+                        for t in threads:
+                            microcode.write_trace(trace_paths[t], heads[threads[0]],
+                                                  self.contexts[t], slots(total, t, c))
+        finally:
+            for head in heads.values():
+                os.remove(head)
+        # Halted threads keep their slots, on the halt row, until the end.
         for t, ctx in enumerate(self.contexts):
-            end = slots(total, t, c)
-            if logs[t] is not None and ctx.cycles < end:
-                snap = ctx.snapshot()[1:]
-                logs[t] = logs[t] + [(k,) + snap for k in range(ctx.cycles, end)]
-            ctx.cycles = end
+            ctx.cycles = slots(total, t, c)
         self.fast_cycles = total
         if stuck:
             raise CycleLimitExceeded(
@@ -188,32 +206,42 @@ class CslowMachine:
                 state=[self.contexts[t] for t in stuck], threads=stuck)
         return self.metrics()
 
-    def _run_group(self, threads, budgets, trace, logs) -> None:
-        """Run the first of `threads` on its memory, and give every one its
-        state, memory and log (into `logs`; None untraced) after its budget
-        of steps.  Budgets fall with t by at most one step in all."""
+    def _run_group(self, threads, budgets, head) -> None:
+        """Run the first of `threads` on its memory, writing its trace to
+        the file `head` (None: untraced), and give every one its state and
+        memory after its budget of steps.  Budgets fall with t by at most
+        one step in all; a thread stopped a step behind ends the run with
+        CycleLimitExceeded, so the trace stops at the smaller budget."""
         lead = self.contexts[threads[0]]
         memory = self._memories[threads[0]]
         high, low = budgets[threads[0]], budgets[threads[-1]]
-        log = [] if trace else None
-        advance(lead, memory.cells, low, log)
-        behind, behind_memory, behind_log = copy.copy(lead), memory, log
+        if head is None:
+            advance(lead, memory.cells, low)
+        else:
+            with open(head, "w") as fh:
+                advance(lead, memory.cells, low, fh.write)
+        behind, behind_memory = copy.copy(lead), memory
         if not lead.halted and high > low:
             behind_memory = memory.copy()
-            if log is not None:
-                behind_log = log[:]
-            advance(lead, memory.cells, high, log)
+            advance(lead, memory.cells, high)
         for t in threads:
             ahead = budgets[t] == high
             if t != threads[0]:
                 self.contexts[t] = copy.copy(lead if ahead else behind)
             self._memories[t] = memory if ahead else behind_memory
-            logs[t] = log if ahead else behind_log
 
     def metrics(self) -> RunMetrics:
         if any(h is None for h in self.halt_cycle):
             raise ValueError("metrics requested before all threads halted")
         return _metrics(self.halt_cycle, self.fast_cycles)
+
+
+def _temp_beside(path) -> str:
+    """A new empty file in the directory of `path`, named after it."""
+    fd, temp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                dir=os.path.dirname(os.path.abspath(path)))
+    os.close(fd)
+    return temp
 
 
 def slots(fast_cycles: int, thread: int, c: int) -> int:

@@ -5,19 +5,24 @@ cycle.  Each row is a set of parallel register transfers plus next-address
 control.  All sources are sampled before any destination is written, so a row
 like `IR <- M(MAR) ; pc <- pc+1` is well defined.
 
-Rows execute as generated code, built at import from one table of transfers
+Rows execute as generated code, built from one table of transfers
 (destination and source template) and one of branch conditions.
 `_transfer_lines` writes a row's statements, and two shapes of code use them:
 
   rows   each control-store row is one straight-line Python function
          (`_row_source`); `_STEP_TABLE[upc]` is the function for
-         micro-address `upc`.  Traced runs, `step`,
-         `instruction_cycle_cost` and the last few cycles before a cycle
-         limit run on them.
+         micro-address `upc`.  `step`, the rows before the first Fetch
+         and the last few cycles before a cycle limit run on them.
   loop   one function (`_loop_source`) runs whole instructions with the
          registers in locals: each instruction is the rows from Fetch
-         inline, every condition row an `if`.  Untraced runs (`advance`
-         without a log) spend their cycles in it.
+         inline, every condition row an `if`.  Runs spend their cycles in
+         it.  Its traced twin, generated by the same walk, also builds
+         each row's trace line and hands the text to a sink (`advance`
+         with `write`) a chunk at a time; it is compiled on the first
+         traced run, so untraced ones never pay for it.
+
+A traced run's memory does not grow with its length: its text goes to the
+sink, a file in practice, `TRACE_CHUNK` lines at a time.
 
 Flag convention (the instruction set leaves it open): z and c update only on
 the four arithmetic transfers (A+1, A-1, A+Buffer, A-Buffer).  z is set when
@@ -32,10 +37,12 @@ SUB when I0=1, mirroring row 26 which selects STO when I0=1.
 
 from __future__ import annotations
 
+import functools
+import shutil
 from dataclasses import dataclass
 from enum import Enum
 
-from .isa import ENCODING, MEMORY_SIZE, MemoryImage, Mnemonic
+from .isa import MemoryImage
 
 # Micro-address labels.
 RESET = 0
@@ -256,6 +263,20 @@ _CONDS = {
     Cond.C: "{c}",
 }
 
+# One trace line per step, the state before it: cycle, micro-address, then
+# pc, a, mar, ir and buffer in hex, then z and c.  Traced runs hand their
+# text on `TRACE_CHUNK` lines at a time, so no string of a whole trace is
+# ever built.  Inside the traced instruction loop a line is the cycle, the
+# micro-address and `regs`, the rest of the line, which `_REGS_TEXT`
+# rebuilds from two tables the loop is compiled with: `h` of the 256 "%02x"
+# strings, and `zc` of the four flag endings, indexed by z, then c.
+TRACE_FORMAT = "%d %d %02x %02x %02x %02x %02x %d %d\n"
+TRACE_CHUNK = 4096
+_REGS_TEXT = 'f"{h[pc]} {h[a]} {h[mar]} {h[ir]} {h[buffer]} {zc[z][c]}"'
+# Trace lines per f-string: three parts each, and CPython builds an f-string
+# of up to 30 parts on its stack but one of more through a list and a join.
+_LINES_PER_APPEND = 10
+
 _REGISTERS = ("pc", "a", "mar", "ir", "buffer", "z", "c")
 # How generated code spells each register: a row function reaches it
 # through its CoreState `s`, the instruction loop holds it in a local.
@@ -297,48 +318,78 @@ def _row_source(i, row):
     return "def row%d(s, m):\n%s\n" % (i, "".join("    %s\n" % line for line in body))
 
 
-def _loop_source(program):
-    """Source of `instructions(s, m, limit)`, and the most rows one
-    instruction runs.
+def _loop_source(program, traced=False):
+    """Source of `instructions(s, m, limit)`, or with `traced` of
+    `instructions(s, m, limit, write)`, and the most rows one instruction
+    runs.
 
     The function holds the registers and the cycle count in locals and
     runs whole instructions from Fetch while the count is at most `limit`:
     each one the control store's rows from Fetch, inline, with every
     condition row an `if`, up to the return to Fetch or the halt row.  It
     stops in the halt row or at Fetch, and writes the state back once.
+
+    Traced, it also keeps the registers' trace text: `regs` at Fetch, and
+    a new local after each row that writes a register.  Each instruction
+    adds its rows' trace lines, each the row's cycle, its micro-address and
+    the registers' text before it, to a list as one string.  The list goes
+    to `write`, joined, at the Fetch where it may hold `TRACE_CHUNK` lines,
+    and once at the end.
     """
     lines = []
 
-    def follow(upc, rows, pad):
-        # Rows from `upc` on, `rows` rows into the instruction; returns the
+    def follow(upc, rows, pad, text=(), regs="regs"):
+        # Rows from `upc` on, `rows` rows into the instruction; `text` holds
+        # the f-string bodies of the trace lines not yet added, and `regs`
+        # names the local holding the registers' text now.  Returns the
         # most rows a path from here runs.
-        if rows and upc == FETCH:
-            lines.extend(pad + line for line in ("cycles += %d" % rows, "continue"))
-            return rows
-        if rows and upc == HALT_SEQ:
-            lines.extend(pad + line for line in (
-                "cycles += %d" % rows, "upc = %d" % HALT_SEQ, "break"))
+        if rows and upc in (FETCH, HALT_SEQ):
+            if traced:
+                lines.append(pad + 'out(f"%s")' % "".join(text))
+                if regs != "regs":
+                    lines.append(pad + "regs = " + regs)
+            lines.append(pad + "cycles += %d" % rows)
+            if upc == FETCH:
+                lines.append(pad + "continue")
+            else:
+                lines.extend(pad + line for line in ("upc = %d" % HALT_SEQ, "break"))
             return rows
         row = program.rows[upc]
         body = _transfer_lines(row.transfers, _LOCALS)
+        if traced:
+            if len(text) == _LINES_PER_APPEND:
+                lines.append(pad + 'out(f"%s")' % "".join(text))
+                text = ()
+            text += ("{cycles%s} %d {%s}" % (" + %d" % rows if rows else "", upc, regs),)
+            if any(_TRANSFERS[t][0] != "M(mar)" for t in row.transfers):
+                regs = "r%d" % (rows + 1)
+                body.append(regs + " = " + _REGS_TEXT)
         kind = row.control[0]
         taken = 0
         if kind == "if":  # tested on the pre-row registers
             lines.append(pad + "if %s:" % _CONDS[row.control[1]].format_map(_LOCALS))
             lines.extend(pad + "    " + line for line in body)
-            taken = follow(row.control[2], rows + 1, pad + "    ")
+            taken = follow(row.control[2], rows + 1, pad + "    ", text, regs)
         lines.extend(pad + line for line in body)
         after = row.control[1] if kind == "goto" else upc + 1
-        return max(taken, follow(after, rows + 1, pad))
+        return max(taken, follow(after, rows + 1, pad, text, regs))
 
+    worst = follow(FETCH, 0, " " * 8)
     state = _REGISTERS + ("cycles",)
     fields = ", ".join("s." + r for r in state)
-    head = ["def instructions(s, m, limit):",
+    head = ["def instructions(s, m, limit%s):" % (", write" if traced else ""),
             "    %s = %s" % (", ".join(state), fields),
-            "    upc = %d" % FETCH,
-            "    while cycles <= limit:"]
-    worst = follow(FETCH, 0, " " * 8)
+            "    upc = %d" % FETCH]
     tail = ["    %s = %s" % (fields, ", ".join(state)), "    s.micro_pc = upc"]
+    if traced:
+        head += ["    h, zc = HEX, FLAGS", "    lines = []",
+                 "    out = lines.append", "    regs = " + _REGS_TEXT,
+                 "    while cycles <= limit:",
+                 "        if len(lines) >= %d:" % (TRACE_CHUNK // worst),
+                 '            write("".join(lines))', "            lines.clear()"]
+        tail.append('    write("".join(lines))')
+    else:
+        head.append("    while cycles <= limit:")
     return "\n".join(head + lines + tail) + "\n", worst
 
 
@@ -351,9 +402,10 @@ def _compile_rows(program):
     return tuple(namespace.pop("row%d" % i) for i in range(len(program.rows)))
 
 
-def _compile_loop(program):
-    source, worst = _loop_source(program)
-    namespace = {}
+def _compile_loop(program, traced=False):
+    source, worst = _loop_source(program, traced)
+    namespace = {"HEX": ["%02x" % v for v in range(256)],
+                 "FLAGS": (("0 0\n", "0 1\n"), ("1 0\n", "1 1\n"))} if traced else {}
     exec(compile(source, "<instruction loop>", "exec"), namespace)
     return namespace.pop("instructions"), worst
 
@@ -361,6 +413,13 @@ def _compile_loop(program):
 _STEP_TABLE = _compile_rows(MICROPROGRAM)
 # WORST: the most rows one instruction takes, Fetch through its last row.
 _INSTRUCTIONS, WORST = _compile_loop(MICROPROGRAM)
+
+
+@functools.cache
+def _traced_instructions():
+    """The traced instruction loop, compiled on first use: untraced runs
+    never pay for it."""
+    return _compile_loop(MICROPROGRAM, traced=True)[0]
 
 
 def step(state: CoreState, mem) -> None:
@@ -377,14 +436,13 @@ def step(state: CoreState, mem) -> None:
 class RunResult:
     state: CoreState
     memory: MemoryImage
-    trace: list | None
 
     @property
     def cycles(self):
         return self.state.cycles
 
 
-def run(image: MemoryImage, max_cycles: int = 100_000, trace: bool = False) -> RunResult:
+def run(image: MemoryImage, max_cycles: int = 100_000) -> RunResult:
     """Execute from reset until halt.
 
     Counts every executed row including the reset row; the final counted
@@ -395,86 +453,54 @@ def run(image: MemoryImage, max_cycles: int = 100_000, trace: bool = False) -> R
         raise ValueError("max_cycles must be positive")
     state = CoreState()
     memory = image.copy()
-    log = [] if trace else None
-    if not advance(state, memory.cells, max_cycles, log):
+    if not advance(state, memory.cells, max_cycles):
         raise CycleLimitExceeded(
             "no halt within %d cycles" % max_cycles, state=state)
-    return RunResult(state, memory, log)
+    return RunResult(state, memory)
 
 
-def advance(state: CoreState, mem, max_cycles: int, log: list | None = None) -> bool:
+def advance(state: CoreState, mem, max_cycles: int, write=None) -> bool:
     """Step `state` on the cell store `mem` until it enters the halt row or
     its cycle count reaches `max_cycles`; True when it halted.
 
     This is the one core loop: `run` and the barrel's `run_all`, in every
-    memory mode, drive it.  With a `log`, the state's snapshot is appended
-    before every step, and every step is one generated row function.
-    Without one, rows run up to the first Fetch (from reset, the reset row
-    alone), then the generated instruction loop runs whole instructions
-    while the costliest one (`WORST` rows) still fits under `max_cycles`,
-    and rows run the rest: the same states, cycle for cycle.
+    memory mode, drive it.  Rows run up to the first Fetch (from reset,
+    the reset row alone), then the generated instruction loop runs whole
+    instructions while the costliest one (`WORST` rows) still fits under
+    `max_cycles`, and rows run the rest: the same states, cycle for cycle.
+    With a text sink `write` (a file's `write`, say), every step's trace
+    line, the state before it, goes to `write` in order: the traced loop
+    hands it `TRACE_CHUNK` lines at a time, and each row outside the loop
+    its own line.
     """
     table = _STEP_TABLE
-    if log is None:
-        while (state.micro_pc != FETCH and state.micro_pc != HALT_SEQ
-               and state.cycles < max_cycles):
-            table[state.micro_pc](state, mem)
-        if state.micro_pc == FETCH:
+    while (state.micro_pc != FETCH and state.micro_pc != HALT_SEQ
+           and state.cycles < max_cycles):
+        if write is not None:
+            write(TRACE_FORMAT % state.snapshot())
+        table[state.micro_pc](state, mem)
+    if state.micro_pc == FETCH:
+        if write is None:
             _INSTRUCTIONS(state, mem, max_cycles - WORST)
+        else:
+            _traced_instructions()(state, mem, max_cycles - WORST, write)
     while state.micro_pc != HALT_SEQ:
         if state.cycles >= max_cycles:
             return False
-        if log is not None:
-            log.append(state.snapshot())
+        if write is not None:
+            write(TRACE_FORMAT % state.snapshot())
         table[state.micro_pc](state, mem)
     return True
 
 
-def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int:
-    """Clock cycles for one instruction: fetch + decode + execute rows.
-
-    `taken` must be given for JOZ/JOC (branch outcome) and omitted otherwise;
-    both outcomes of either branch cost the same number of rows.  Counted
-    by stepping the rows themselves on a probe: the opcode in cell 0, both
-    flags set to the branch outcome, from Fetch until the sequencer returns
-    to Fetch or enters the halt row.
-    """
-    conditional = mnemonic in (Mnemonic.JOZ, Mnemonic.JOC)
-    if conditional and taken is None:
-        raise ValueError("%s needs a branch outcome" % mnemonic.value)
-    if not conditional and taken is not None:
-        raise ValueError("%s takes no branch outcome" % mnemonic.value)
-
-    probe = CoreState()
-    probe.micro_pc = FETCH
-    if conditional:
-        probe.z = probe.c = 1 if taken else 0
-    mem = bytearray(MEMORY_SIZE)
-    mem[0] = ENCODING[mnemonic]
-    while True:
-        step(probe, mem)
-        if probe.micro_pc in (FETCH, HALT_SEQ):
-            return probe.cycles
-
-
-# One line per logged snapshot: cycle, micro-address, then pc, a, mar, ir
-# and buffer in hex, then z and c.  `format_trace` is the reference;
-# `write_trace` writes the same text `TRACE_CHUNK` lines at a time, each
-# chunk one f-string per line over a 256-entry table of "%02x" strings, so
-# no string of the whole file is ever built.  The table is built per call
-# (microseconds), so importing the module allocates nothing for it.
-TRACE_FORMAT = "%d %d %02x %02x %02x %02x %02x %d %d"
-TRACE_CHUNK = 4096
-
-
-def format_trace(trace) -> str:
-    return "\n".join(map(TRACE_FORMAT.__mod__, trace)) + ("\n" if trace else "")
-
-
-def write_trace(path, trace) -> None:
-    h = ["%02x" % v for v in range(256)]
-    with open(path, "w") as fh:
-        for i in range(0, len(trace), TRACE_CHUNK):
-            fh.write("".join([
-                f"{k} {u} {h[pc]} {h[a]} {h[mar]} {h[ir]} {h[buf]} {z} {c}\n"
-                for k, u, pc, a, mar, ir, buf, z, c in trace[i:i + TRACE_CHUNK]]))
+def write_trace(path, head, state: CoreState, end: int) -> None:
+    """Write the trace file at `path` of a thread that stopped in the halt
+    row in `state`: a copy of the file `head`, its run's text, then the
+    halt row's line for each cycle from `state.cycles` up to `end`,
+    `TRACE_CHUNK` lines at a time."""
+    shutil.copyfile(head, path)
+    if state.cycles < end:
+        regs = (TRACE_FORMAT % state.snapshot()).split(" ", 1)[1]
+        with open(path, "a") as fh:
+            for k in range(state.cycles, end, TRACE_CHUNK):
+                fh.write("".join([f"{j} {regs}" for j in range(k, min(k + TRACE_CHUNK, end))]))

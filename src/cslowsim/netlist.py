@@ -356,7 +356,8 @@ def _compile(netlist):
     the bound method `a<i>`.  A node whose deepest outgoing wire holds d
     registers keeps its last d values in `r<i>_1`..`r<i>_d`, shifted each
     cycle, when d is at most `LOCAL_DEPTH`, and in the bounded deque `q<i>`
-    otherwise.  No netlist string reaches the source: identifiers are built
+    otherwise.  The `r<i>_k` are keyword-only parameters that start at 0:
+    a default costs less to compile than a statement per local.  No netlist string reaches the source: identifiers are built
     from indices alone.
     """
     order = netlist.order
@@ -379,7 +380,7 @@ def _compile(netlist):
     inputs = [name for name in order if netlist.nodes[name].kind is NodeKind.INPUT]
     outputs = [index[name] for name in netlist.outputs()]
 
-    start, step = [], []
+    start, step, zeros = [], [], []
     for i, name in enumerate(order):
         kind = netlist.nodes[name].kind
         args = (("s%d" % i,) if kind is NodeKind.INPUT else
@@ -388,7 +389,7 @@ def _compile(netlist):
     step += ["a%d(v%d)" % (i, i) for i in outputs]
     for i, d in depth.items():
         if d <= LOCAL_DEPTH:
-            start += ["r%d_%d = 0" % (i, k) for k in range(1, d + 1)]
+            zeros += ["r%d_%d=0" % (i, k) for k in range(1, d + 1)]
             step += ["r%d_%d = r%d_%d" % (i, k, i, k - 1) for k in range(d, 1, -1)]
             step.append("r%d_1 = v%d" % (i, i))
         else:
@@ -397,7 +398,10 @@ def _compile(netlist):
     for i in outputs:
         start += ["s%d = []" % i, "a%d = s%d.append" % (i, i)]
 
-    lines = ["def run(cycles, mask%s):" % "".join(", s%d" % index[name] for name in inputs)]
+    params = ["cycles", "mask"] + ["s%d" % index[name] for name in inputs]
+    if zeros:  # keyword-only, so every call leaves them at their default
+        params += ["*"] + zeros
+    lines = ["def run(%s):" % ", ".join(params)]
     lines += ["    " + line for line in start]
     lines.append("    for t in range(cycles):")
     lines += ["        " + line for line in step or ["pass"]]

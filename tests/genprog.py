@@ -112,3 +112,13 @@ def _size(op):
     if op == ".org":
         return 0
     return 1 if op in _PLAIN or op in ("HALT", ".word") else 2
+
+
+def nested_loop(outer: int, inner: int) -> str:
+    """A program of two nested countdown loops, `outer` times `inner` turns
+    of a 56-cycle inner body: a long run of a few instructions."""
+    return ("L1: LOAD M\nSTO J\n"
+            "L2: LOAD J\nSUB ONE\nSTO J\nJOZ E2\nJOC L2\n"
+            "E2: LOAD I\nSUB ONE\nSTO I\nJOZ END\nJOC L1\n"
+            "END: HALT\n"
+            "I: .word %d\nJ: .word 0\nM: .word %d\nONE: .word 1\n" % (outer, inner))

@@ -13,12 +13,13 @@ import pytest
 import gennet
 import genprog
 import refmicro
+from reftrace import format_trace, image_trace, instruction_cycle_cost
 from test_microcode import observed_costs
 
 from cslowsim import cli
 from cslowsim.cslow import CslowConfig, CslowMachine, MemoryMode
 from cslowsim.isa import Mnemonic, assemble
-from cslowsim.microcode import format_trace, instruction_cycle_cost, run
+from cslowsim.microcode import run
 from cslowsim.netlist import critical_path, parse
 from cslowsim.retime import (
     area_report,
@@ -43,7 +44,11 @@ def random_programs():
     rng = random.Random(2024)
     programs = [genprog.random_halting_program(rng) for _ in range(200)]
     images = [assemble(p) for p in programs]
-    baselines = [run(img, 100_000, trace=True) for img in images]
+    # Per program: its cycles, final cells and trace text, row by row.
+    baselines = []
+    for img in images:
+        _, state, mem, trace = image_trace(img)
+        baselines.append((state.cycles, bytes(mem), format_trace(trace)))
     return images, baselines
 
 
@@ -114,7 +119,7 @@ def test_criterion_2_cycle_oracle():
            "N3: LOAD X\nADD X\nJOC N4\n"     # not-taken JOC (no carry)
            "N4: HALT\n"
            "X: .word 3\nY: .word 200\nZ: .word 0\nM: .word 0xFF")
-    trace = run(assemble(src), trace=True).trace
+    trace = image_trace(assemble(src))[3]
     seen = set()
     for name, taken, cycles in observed_costs(trace):
         assert cycles == refmicro.walk_cost(name, taken=bool(taken))
@@ -128,8 +133,9 @@ def test_criterion_2_cycle_oracle():
 
 # --- criterion 3: thread isolation across C and sharing modes ----------------
 
-def test_criterion_3_thread_isolation(random_programs):
+def test_criterion_3_thread_isolation(random_programs, tmp_path):
     images, baselines = random_programs
+    paths = [tmp_path / ("t%d.trc" % t) for t in range(8)]
     checked = 0
     for c in (1, 2, 3, 4, 8):
         for mode in (MemoryMode.PRIVATE, MemoryMode.TAGGED):
@@ -140,14 +146,15 @@ def test_criterion_3_thread_isolation(random_programs):
                 machine = CslowMachine(
                     CslowConfig(c, mode, 10_000_000),
                     [images[i] for i in group])
-                metrics = machine.run_all(trace=True)
+                metrics = machine.run_all(paths[:c])
                 for slot, prog in enumerate(group):
-                    base = baselines[prog]
-                    assert metrics.per_thread_cycles[slot] == base.cycles
-                    got = machine.traces[slot]
-                    assert got[:len(base.trace)] == base.trace
-                    assert all(snap[1] == 52 for snap in got[len(base.trace):])
-                    assert machine.thread_memory(slot) == base.memory
+                    cycles, memory, text = baselines[prog]
+                    assert metrics.per_thread_cycles[slot] == cycles
+                    got = paths[slot].read_text()
+                    assert got.startswith(text)
+                    assert all(line.split()[1] == "52"
+                               for line in got[len(text):].splitlines())
+                    assert bytes(machine.thread_memory(slot).cells) == memory
                     checked += 1
     _report(3, "%d thread runs bit-identical to their baselines "
                "(200 programs x C in {1,2,3,4,8} x {private, tagged})" % checked)
@@ -246,13 +253,13 @@ def test_criterion_7_area_model(chain_net_text, ring_net_text, toggle_net_text):
 
 def test_criterion_8_degeneracy(tmp_path, corpus_programs, capsys):
     image = assemble(corpus_programs[0].read_text())
-    baseline = run(image, trace=True)
+    baseline = run(image)
     machine = CslowMachine(CslowConfig(1, MemoryMode.PRIVATE), [image])
-    metrics = machine.run_all(trace=True)
+    trace_m = tmp_path / "m.trc"
+    metrics = machine.run_all([trace_m])
     assert metrics.per_thread_cycles == [baseline.cycles]
     assert metrics.fast_cycles_total == baseline.cycles
-    assert machine.traces[0] == baseline.trace
-    assert format_trace(machine.traces[0]) == format_trace(baseline.trace)
+    assert trace_m.read_text() == format_trace(image_trace(image)[3])
     assert machine.thread_memory(0) == baseline.memory
     assert machine.contexts[0].snapshot() == baseline.state.snapshot()
 
@@ -268,6 +275,6 @@ def test_criterion_8_degeneracy(tmp_path, corpus_programs, capsys):
     out_cslow = capsys.readouterr().out
     assert code == 0
     assert out_run == out_cslow
-    assert trace_a.read_bytes() == trace_b.read_bytes()
+    assert trace_a.read_bytes() == trace_b.read_bytes() == trace_m.read_bytes()
     _report(8, "C=1 machine byte-identical to the baseline core, "
                "trace files included")

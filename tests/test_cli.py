@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import cslowsim
+import genprog
+from reftrace import format_trace, image_trace
 from cslowsim import cli
 from cslowsim.cslow import MemoryMode, write_bundle
 from cslowsim.isa import MemoryImage, assemble
@@ -132,6 +135,72 @@ def test_shared_traces_are_the_plain_core_trace(c, tmp_path, corpus_programs, ca
                                        "--max-cycles", str(h * c - 1)])
     assert code == 2 and "not halted" in stderr
     assert list(tmp_path.glob("tp*")) == []
+
+
+def _expected_traces(images, report):
+    """Each thread's trace text: its image's run, row by row, then the halt
+    row on each of its remaining slots of the run."""
+    c, total = report["c"], report["fast_cycles_total"]
+    texts = []
+    for t in range(c):
+        _, state, _, trace = image_trace(images[t % len(images)], 1_000_000)
+        end = (total - t - 1) // c + 1
+        pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, end)]
+        texts.append(format_trace(trace + pad))
+    return texts
+
+
+# A run longer than a trace chunk, and one that halts much sooner.
+LONG = genprog.nested_loop(2, 180)
+SHORT = "LOAD X\nADD X\nSTO X\nHALT\nX: .word 3\n"
+
+
+@pytest.mark.parametrize("argv, programs, threads", [
+    (["run"], [LONG], 0),
+    (["run-cslow", "--mode", "private"], [LONG, SHORT, LONG], 3),
+    (["run-cslow", "--mode", "shared", "--c", "3"], [LONG], 3),
+    (["run-cslow", "--mode", "tagged"], [SHORT, LONG], 2),
+], ids=["run", "private", "shared", "tagged"])
+def test_trace_files_complete_when_main_returns(argv, programs, threads, tmp_path, capsys):
+    # With the collector off, no finalizer closes a file: every trace file
+    # must be whole when `main` returns.
+    images = [assemble(p) for p in programs]
+    paths = []
+    for i, image in enumerate(images):
+        path = tmp_path / ("p%d.hex" % i)
+        path.write_text(image.to_text())
+        paths.append(str(path))
+    prefix = tmp_path / "tr"
+    files = [tmp_path / ("tr.t%d.trc" % t) for t in range(threads)] or [prefix]
+    gc.disable()
+    try:
+        code = cli.main([argv[0], *paths, *argv[1:], "--trace", str(prefix)])
+        texts = [f.read_text() for f in files]
+    finally:
+        gc.enable()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert texts == _expected_traces(images, report)
+    assert sorted(tmp_path.glob("tr*")) == sorted(files)
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run-cslow", "--mode", "shared", "--c", "3"],
+                                  ["run-cslow", "--mode", "private", "--c", "2"]],
+                         ids=["run", "shared", "private"])
+def test_limit_exceeded_leaves_existing_trace_untouched(argv, tmp_path, capsys):
+    image = tmp_path / "long.hex"
+    image.write_text(assemble(LONG).to_text())
+    images = [str(image)] * (2 if "private" in argv else 1)
+    prefix = tmp_path / "tr"
+    files = ([prefix] if argv == ["run"] else
+             [tmp_path / ("tr.t%d.trc" % t) for t in range(int(argv[-1]))])
+    for f in files:
+        f.write_bytes(b"an earlier run's trace\n")
+    code, _, stderr = run_cli(capsys, [argv[0], *images, *argv[1:], "--trace", str(prefix),
+                                       "--max-cycles", "5000"])
+    assert code == 2 and "5000" in stderr
+    assert [f.read_bytes() for f in files] == [b"an earlier run's trace\n"] * len(files)
+    assert sorted(tmp_path.iterdir()) == sorted(files + [image])
 
 
 def test_run_cslow_three_programs(tmp_path, corpus_programs, capsys):

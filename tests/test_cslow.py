@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,10 +32,10 @@ from cslowsim.microcode import (
     MICROPROGRAM,
     CoreState,
     CycleLimitExceeded,
-    format_trace,
     run,
     step,
 )
+from reftrace import format_trace, image_trace
 
 
 def asm(text):
@@ -117,17 +122,51 @@ def test_two_cma_threads_metrics():
     assert metrics.rounds == 14
 
 
-def test_c1_degenerates_to_baseline():
+def test_c1_degenerates_to_baseline(tmp_path):
     src = "LOAD X\nADD X\nSTO Y\nHALT\nX: .word 7\nY: .word 0"
     asmres = assemble_program(src)
-    baseline = run(asmres.image, trace=True)
+    baseline = run(asmres.image)
+    _, _, _, trace = image_trace(asmres.image)
     machine = CslowMachine(CslowConfig(1), [asmres.image])
-    metrics = machine.run_all(trace=True)
+    path = tmp_path / "t.trc"
+    metrics = machine.run_all([path])
     assert metrics.rounds == metrics.fast_cycles_total == baseline.cycles
-    assert machine.traces[0] == baseline.trace
-    assert format_trace(machine.traces[0]) == format_trace(baseline.trace)
+    assert path.read_text() == format_trace(trace)
+    assert os.listdir(tmp_path) == ["t.trc"]
     assert machine.thread_memory(0) == baseline.memory
     assert machine.contexts[0].snapshot() == baseline.state.snapshot()
+
+
+# A traced shared run of a nested loop, in a fresh interpreter: prints the
+# run's cycles and the process's peak resident set (KB on Linux).
+_PEAK_RSS = """
+import os, resource, sys, tempfile
+import genprog
+from cslowsim.cslow import CslowConfig, CslowMachine, MemoryMode
+from cslowsim.isa import assemble
+image = assemble(genprog.nested_loop(int(sys.argv[1]), 240))
+machine = CslowMachine(CslowConfig(2, MemoryMode.SHARED, 10**7), [image])
+with tempfile.TemporaryDirectory() as d:
+    machine.run_all([os.path.join(d, "t0"), os.path.join(d, "t1")])
+print(machine.metrics().rounds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB")
+def test_traced_run_memory_does_not_grow_with_its_length():
+    # About 10 k and 1 M cycles: a trace kept in memory would add tens of
+    # MB at 1 M; a streamed one holds a chunk at a time.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])))
+    peaks = {}
+    for outer in (1, 75):
+        out = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(outer)], env=env,
+                             check=True, timeout=120, capture_output=True, text=True)
+        cycles, peak_kb = map(int, out.stdout.split())
+        peaks[cycles] = peak_kb
+    assert sorted(peaks) == [13_501, 1_012_871]
+    assert peaks[1_012_871] - peaks[13_501] < 4096, peaks
 
 
 def test_sequential_baseline_sums():
@@ -339,13 +378,37 @@ def outcome(call):
         return exc.threads
 
 
-def assert_same_machine(machine, ref):
+def trace_paths(directory, c):
+    return [os.path.join(directory, "t%d.trc" % t) for t in range(c)]
+
+
+def assert_same_machine(machine, ref, directory=None):
+    """`machine` ran as the tick loop `ref` did; if it was traced into
+    `directory`, every thread's file holds the tick loop's snapshots when
+    the run ended in a halt, and the directory stays empty when a limit
+    stopped it."""
     assert machine.fast_cycles == ref.fast_cycles
     assert machine.halt_cycle == ref.halt_cycle
     assert [x.snapshot() for x in machine.contexts] == [x.snapshot() for x in ref.contexts]
-    assert machine.traces == ref.traces
     for t in range(machine.c):
         assert machine.thread_memory(t) == ref.thread_memory(t)
+    if directory is None:
+        return
+    paths = trace_paths(directory, machine.c)
+    if None in ref.halt_cycle:
+        assert os.listdir(directory) == []
+    else:
+        assert sorted(os.listdir(directory)) == sorted(map(os.path.basename, paths))
+        for path, trace in zip(paths, ref.traces):
+            with open(path) as fh:
+                assert fh.read() == format_trace(trace)
+        for path in paths:
+            os.remove(path)
+
+
+def traced_run_all(machine, directory):
+    """`machine.run_all`, traced into `directory` if one is given."""
+    return machine.run_all(trace_paths(directory, machine.c) if directory else None)
 
 
 @settings(max_examples=90, deadline=None)
@@ -367,36 +430,38 @@ def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
     assert stuck == []
     total = ref.fast_cycles
 
-    # The limit edge: exactly enough fast cycles passes ...
-    machine = CslowMachine(CslowConfig(c, mode, total), images)
-    assert machine.run_all(trace=trace) == ref.metrics()
-    assert_same_machine(machine, ref)
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = scratch if trace else None
+        # The limit edge: exactly enough fast cycles passes ...
+        machine = CslowMachine(CslowConfig(c, mode, total), images)
+        assert traced_run_all(machine, directory) == ref.metrics()
+        assert_same_machine(machine, ref, directory)
 
-    # ... and one fewer stops where the tick loop stops, naming the same
-    # threads and carrying their states.
-    short = CslowConfig(c, mode, total - 1)
-    ref, stuck = tick_oracle(short, images, trace)
-    machine = CslowMachine(short, images)
-    with pytest.raises(CycleLimitExceeded) as exc:
-        machine.run_all(trace=trace)
-    assert stuck and exc.value.threads == stuck
-    assert exc.value.state == [machine.contexts[t] for t in stuck]
-    assert_same_machine(machine, ref)
-    # `bench` rows under that limit, rows 1..C in turn: each one as its own
-    # `compare` has it, and the last one stopped on the same threads.
-    sweep = Sweep(images, mode, total - 1)
-    for n in range(1, c + 1):
-        row = outcome(lambda: sweep.compare(n))
-        assert row == outcome(lambda: compare(images[:n], n, mode, total - 1))
-    assert row == stuck
+        # ... and one fewer stops where the tick loop stops, naming the
+        # same threads and carrying their states, and writes no file.
+        short = CslowConfig(c, mode, total - 1)
+        ref, stuck = tick_oracle(short, images, trace)
+        machine = CslowMachine(short, images)
+        with pytest.raises(CycleLimitExceeded) as exc:
+            traced_run_all(machine, directory)
+        assert stuck and exc.value.threads == stuck
+        assert exc.value.state == [machine.contexts[t] for t in stuck]
+        assert_same_machine(machine, ref, directory)
+        # `bench` rows under that limit, rows 1..C in turn: each one as its
+        # own `compare` has it, and the last one stopped on the same threads.
+        sweep = Sweep(images, mode, total - 1)
+        for n in range(1, c + 1):
+            row = outcome(lambda: sweep.compare(n))
+            assert row == outcome(lambda: compare(images[:n], n, mode, total - 1))
+        assert row == stuck
 
-    # A limit anywhere in the run (`cut` thousandths of the way) stops, or
-    # passes, as the tick loop does.
-    mid = CslowConfig(c, mode, 1 + cut * (total - 1) // 1000)
-    ref, stuck = tick_oracle(mid, images, trace)
-    machine = CslowMachine(mid, images)
-    assert outcome(lambda: machine.run_all(trace=trace)) == (stuck or ref.metrics())
-    assert_same_machine(machine, ref)
+        # A limit anywhere in the run (`cut` thousandths of the way) stops,
+        # or passes, as the tick loop does.
+        mid = CslowConfig(c, mode, 1 + cut * (total - 1) // 1000)
+        ref, stuck = tick_oracle(mid, images, trace)
+        machine = CslowMachine(mid, images)
+        assert outcome(lambda: traced_run_all(machine, directory)) == (stuck or ref.metrics())
+        assert_same_machine(machine, ref, directory)
 
     # `bench` rows: one `compare` per C, each as the tick loop has it.
     sweep = Sweep(images, mode)
@@ -409,7 +474,7 @@ def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
         assert sweep.compare(n) == expected
 
 
-def test_shared_run_at_every_limit():
+def test_shared_run_at_every_limit(tmp_path):
     # Thread 0 runs a step ahead of the others for most of each round, so
     # its copy must be the shared store wherever a limit falls; the loop
     # also stores into its own ADD's operand.
@@ -422,8 +487,9 @@ def test_shared_run_at_every_limit():
         trace = limit % 2 == 0
         ref, stuck = tick_oracle(config, [image], trace)
         machine = CslowMachine(config, [image])
-        assert outcome(lambda: machine.run_all(trace=trace)) == (stuck or ref.metrics())
-        assert_same_machine(machine, ref)
+        directory = tmp_path if trace else None
+        assert outcome(lambda: traced_run_all(machine, directory)) == (stuck or ref.metrics())
+        assert_same_machine(machine, ref, directory)
 
 
 # Which program each of eight threads starts from: distinct ones, one for
@@ -435,7 +501,7 @@ PICKS = [pytest.param(mode, (0,) * 8 if mode is MemoryMode.SHARED else tuple(ran
 
 
 @pytest.mark.parametrize("mode, picks", PICKS)
-def test_run_all_advance_calls(mode, picks, monkeypatch):
+def test_run_all_advance_calls(mode, picks, monkeypatch, tmp_path):
     programs = [asm(genprog.random_halting_program(random.Random(s))) for s in range(8)]
     images = [programs[i].copy() for i in picks]
     if mode is MemoryMode.SHARED:
@@ -446,21 +512,19 @@ def test_run_all_advance_calls(mode, picks, monkeypatch):
         return _real(*args, **kwargs)
     monkeypatch.setattr(cslow, "advance", counted)
     machine = CslowMachine(CslowConfig(len(picks), mode), images)
-    machine.run_all(trace=True)
+    paths = trace_paths(tmp_path, len(picks))
+    machine.run_all(paths)
     # One run per distinct image, on the first thread that starts from it.
     firsts = [picks.index(i) for i in dict.fromkeys(picks)]
     assert calls == [machine.contexts[t] for t in firsts]
-    # Threads from one image that halt on the same step share one log list;
-    # a log padded on the halt row is its thread's own.
-    logs = machine.traces
-    unpadded = [len(log) == h for log, h in zip(logs, machine.halt_cycle)]
-    for t, log in enumerate(logs):
-        sharing = [u for u, other in enumerate(logs) if other is log]
-        if unpadded[t]:
-            assert sharing == [u for u, i in enumerate(picks)
-                               if i == picks[t] and unpadded[u]]
-        else:
-            assert sharing == [t]
+    # Each thread's file is its image's run, then the halt row up to its
+    # last slot; no temporary file is left.
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
+    for t, path in enumerate(paths):
+        _, state, _, trace = image_trace(programs[picks[t]])
+        pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, machine.contexts[t].cycles)]
+        with open(path) as fh:
+            assert fh.read() == format_trace(trace + pad)
 
 
 @pytest.mark.parametrize("mode, picks", PICKS)

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 import genprog
 import refisa
 import refmicro
-from cslowsim.isa import (
-    ENCODING, MEMORY_SIZE, MemoryImage, Mnemonic, assemble, assemble_program)
+from cslowsim.isa import MEMORY_SIZE, MemoryImage, Mnemonic, assemble, assemble_program
 from cslowsim.microcode import (
     _STEP_TABLE,
     FETCH,
@@ -22,12 +21,11 @@ from cslowsim.microcode import (
     Transfer,
     advance,
     build_microprogram,
-    format_trace,
-    instruction_cycle_cost,
     run,
     step,
     write_trace,
 )
+from reftrace import format_trace, image_trace, instruction_cycle_cost, row_trace
 
 
 def test_microprogram_shape():
@@ -216,28 +214,37 @@ def test_observed_costs_match_cycle_table():
     src = ("LOAD X\nADD Y\nSTO Z\nSUB Y\nCMA\nINCA\nDCRA\nAND M\n"
            "JOZ NEXT\nNEXT: JOC LAST\nLAST: HALT\n"
            "X: .word 3\nY: .word 200\nZ: .word 0\nM: .word 0xFF")
-    res = run(assemble(src), trace=True)
-    costs = observed_costs(res.trace)
+    costs = observed_costs(image_trace(assemble(src))[3])
     assert len(costs) == 11
     for name, taken, cycles in costs:
         assert cycles == refmicro.walk_cost(name, taken=bool(taken))
         assert cycles == refmicro.EXPECTED_COSTS[name]
 
 
+def traced_run(image, max_cycles=100_000):
+    """`advance` from reset with a text sink: (halted, state, cells, text)."""
+    state, mem, parts = CoreState(), bytearray(image.cells), []
+    halted = advance(state, mem, max_cycles, parts.append)
+    return halted, state, mem, "".join(parts)
+
+
 def test_run_deterministic_with_trace():
     asm = assemble_program("L: INCA\nJOZ L\nHALT")
-    a = run(asm.image, trace=True)
-    b = run(asm.image, trace=True)
-    assert a.trace == b.trace
-    assert a.state.snapshot() == b.state.snapshot()
-    assert a.memory == b.memory
+    a = traced_run(asm.image)
+    b = traced_run(asm.image)
+    assert a[3] == b[3]
+    assert a[1].snapshot() == b[1].snapshot()
+    assert a[2] == b[2]
+    # The text is the row-by-row reference's, and the run the untraced one's.
+    halted, state, mem, trace = image_trace(asm.image)
+    assert a[3] == format_trace(trace)
+    assert a[1].snapshot() == state.snapshot() == run(asm.image).state.snapshot()
 
 
 def test_trace_format():
-    res = run(assemble("HALT"), trace=True)
-    text = format_trace(res.trace)
+    halted, state, _, text = traced_run(assemble("HALT"))
     lines = text.splitlines()
-    assert len(lines) == 8
+    assert halted and len(lines) == 8 == state.cycles
     assert lines[0] == "0 0 00 00 00 00 00 0 0"
     fields = lines[2].split()
     assert len(fields) == 9
@@ -246,12 +253,18 @@ def test_trace_format():
 
 @pytest.mark.parametrize("rows", [0, 1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1])
 def test_write_trace_matches_format_trace(rows, tmp_path):
-    rng = random.Random(rows)
-    trace = [(k, rng.randrange(MICROPROGRAM_LENGTH), *rng.randbytes(5),
-              rng.randrange(2), rng.randrange(2)) for k in range(rows)]
+    # A halted run's text, copied from its head file, then `rows` cycles
+    # on the halt row, across the chunk edges.
+    halted, state, _, trace = image_trace(assemble("LOAD X\nINCA\nHALT\nX: .word 0xFE"))
+    head = tmp_path / "head"
+    head.write_text(format_trace(trace))
     path = tmp_path / "t.trc"
-    write_trace(path, trace)
-    assert path.read_text() == format_trace(trace)
+    end = state.cycles + rows
+    path.write_text("an earlier, longer file\n" * 9000)
+    write_trace(path, head, state, end)
+    pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, end)]
+    assert path.read_text() == format_trace(trace + pad)
+    assert head.read_text() == format_trace(trace)
 
 
 def test_halted_latch():
@@ -345,3 +358,26 @@ def test_untraced_advance_matches_rows(cells, tagged, data):
             with pytest.raises(CycleLimitExceeded) as exc:
                 run(MemoryImage(cells), limit)
             assert exc.value.state.snapshot() == ref.snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.binary(min_size=256, max_size=256), data=st.data())
+def test_traced_advance_matches_rows(cells, data):
+    # The traced instruction loop writes the row-by-row reference's text,
+    # in chunks, and stops in its state, at every kind of limit.
+    probe = CoreState()
+    h = probe.cycles if _step_rows(probe, bytearray(cells), _ROWS_CAP) else None
+    edges = [1, 2, 12, 13]
+    if h is not None:
+        edges += [n for n in range(h - 13, h + 2) if n >= 1]
+    limits = data.draw(st.lists(st.sampled_from(edges) | st.integers(1, _ROWS_CAP),
+                                min_size=1, max_size=4))
+    for limit in limits:
+        ref, ref_mem = CoreState(), bytearray(cells)
+        ref_halted, trace = row_trace(ref, ref_mem, limit)
+        state, mem, parts = CoreState(), bytearray(cells), []
+        halted = advance(state, mem, limit, parts.append)
+        assert (halted, state.snapshot(), bytes(mem)) == (
+            ref_halted, ref.snapshot(), bytes(ref_mem))
+        assert "".join(parts) == format_trace(trace)
+        assert all(len(part.splitlines()) <= TRACE_CHUNK for part in parts)
