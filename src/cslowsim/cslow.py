@@ -42,12 +42,13 @@ one step, and each thread of the group takes the first one's state and
 memory after its own budget: a thread that halted shares the memory, and
 one stopped a step behind gets copies from one step earlier.
 
-Traces are files, not logs.  The first thread of a group streams its trace
-into a temporary file beside its own path, and once every thread has halted
-each thread of the group gets a copy of that text plus its own halt-row
-lines.  A thread stopped a step behind has not halted, so that run raises
-CycleLimitExceeded: then every temporary file is removed and no trace file
-is written, and existing files at those paths stay as they were.  The
+Traces are files, not logs, and only a run that halted writes them.  The
+groups run untraced first; once every thread has halted, each group makes
+one traced pass from reset on a copy of its starting cells up to the known
+halt cycle (`microcode.write_trace`), writing each chunk to the files of
+every thread in the group, and then each file gets its own halt-row lines.
+A run that stops at its limit raises CycleLimitExceeded before any file is
+opened, so existing files at the trace paths stay as they were.  The
 reference `run_all` is tested against, in `tests/test_cslow.py`, steps C
 cores round-robin, one row per fast cycle, over one store per thread
 (shared memory: one store for all), keeping a snapshot per step.
@@ -56,8 +57,6 @@ cores round-robin, one row per fast cycle, over one store per thread
 from __future__ import annotations
 
 import copy
-import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -153,16 +152,16 @@ class CslowMachine:
         file `trace_paths[t]`.
 
         Each group of threads with equal starting images runs once
-        (`_run_group`), for the slots the schedule gives it within the
-        limit; then every thread that halted sits on the halt row up to
-        the end of the run.  Traced, the first thread of each group writes
-        its run's text to a temporary file beside its own path, and each
-        thread of the group gets a copy of that text plus its halt-row
-        lines (`microcode.write_trace`).
+        (`_run_group`), untraced, for the slots the schedule gives it
+        within the limit; then every thread that halted sits on the halt
+        row up to the end of the run.  Traced, once every thread has
+        halted, each group's run is made again from reset by
+        `microcode.write_trace` into the files of all its threads, each
+        padded with halt-row lines up to its thread's last slot.
         Raises CycleLimitExceeded, naming the threads still running and
         carrying their states, when that takes more than `max_fast_cycles`
-        fast cycles; then no trace file is written or changed.  Raises
-        ValueError on a machine that has already run.
+        fast cycles; then no trace file is opened.  Raises ValueError on a
+        machine that has already run.
         """
         if self.fast_cycles:
             raise ValueError("run_all runs a machine once, from reset")
@@ -172,30 +171,23 @@ class CslowMachine:
         groups = {}
         for t, memory in enumerate(self._memories):
             groups.setdefault(bytes(memory.cells), []).append(t)
-        heads = {}  # first thread of each group -> its run's trace file
-        try:
-            for threads in groups.values():
-                if trace_paths:
-                    heads[threads[0]] = _temp_beside(trace_paths[threads[0]])
-                self._run_group(threads, budgets, heads.get(threads[0]))
-            stuck = []
-            for t, ctx in enumerate(self.contexts):
-                if ctx.halted:
-                    self.halt_cycle[t] = ctx.cycles
-                else:
-                    stuck.append(t)
-            if stuck:  # the schedule stops at the limit, or at once below 1
-                total = max(limit, 0)
+        for threads in groups.values():
+            self._run_group(threads, budgets)
+        stuck = []
+        for t, ctx in enumerate(self.contexts):
+            if ctx.halted:
+                self.halt_cycle[t] = ctx.cycles
             else:
-                total = independent_metrics(self.halt_cycle).fast_cycles_total
-                if trace_paths:
-                    for threads in groups.values():
-                        for t in threads:
-                            microcode.write_trace(trace_paths[t], heads[threads[0]],
-                                                  self.contexts[t], slots(total, t, c))
-        finally:
-            for head in heads.values():
-                os.remove(head)
+                stuck.append(t)
+        if stuck:  # the schedule stops at the limit, or at once below 1
+            total = max(limit, 0)
+        else:
+            total = independent_metrics(self.halt_cycle).fast_cycles_total
+            if trace_paths:
+                for cells, threads in groups.items():
+                    ends = {trace_paths[t]: slots(total, t, c) for t in threads}
+                    microcode.write_trace(trace_paths[threads[0]], cells,
+                                          self.contexts[threads[0]], ends)
         # Halted threads keep their slots, on the halt row, until the end.
         for t, ctx in enumerate(self.contexts):
             ctx.cycles = slots(total, t, c)
@@ -206,20 +198,16 @@ class CslowMachine:
                 state=[self.contexts[t] for t in stuck], threads=stuck)
         return self.metrics()
 
-    def _run_group(self, threads, budgets, head) -> None:
-        """Run the first of `threads` on its memory, writing its trace to
-        the file `head` (None: untraced), and give every one its state and
-        memory after its budget of steps.  Budgets fall with t by at most
-        one step in all; a thread stopped a step behind ends the run with
-        CycleLimitExceeded, so the trace stops at the smaller budget."""
+    def _run_group(self, threads, budgets) -> None:
+        """Run the first of `threads` on its memory and give every one its
+        state and memory after its budget of steps.  Budgets fall with t
+        by at most one step in all: the first runs to the smallest, a
+        copy of its state and memory is kept for the threads a step
+        behind, and it runs on to the largest."""
         lead = self.contexts[threads[0]]
         memory = self._memories[threads[0]]
         high, low = budgets[threads[0]], budgets[threads[-1]]
-        if head is None:
-            advance(lead, memory.cells, low)
-        else:
-            with open(head, "w") as fh:
-                advance(lead, memory.cells, low, fh.write)
+        advance(lead, memory.cells, low)
         behind, behind_memory = copy.copy(lead), memory
         if not lead.halted and high > low:
             behind_memory = memory.copy()
@@ -234,14 +222,6 @@ class CslowMachine:
         if any(h is None for h in self.halt_cycle):
             raise ValueError("metrics requested before all threads halted")
         return _metrics(self.halt_cycle, self.fast_cycles)
-
-
-def _temp_beside(path) -> str:
-    """A new empty file in the directory of `path`, named after it."""
-    fd, temp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                                dir=os.path.dirname(os.path.abspath(path)))
-    os.close(fd)
-    return temp
 
 
 def slots(fast_cycles: int, thread: int, c: int) -> int:
@@ -393,14 +373,6 @@ def machine_report(machine: CslowMachine, sequential_sum: int) -> dict:
 
 
 BUNDLE_MAGIC = "cslow-bundle"
-
-
-def write_bundle(path, images, mode: MemoryMode) -> None:
-    """Multi-image bundle: header line, then one memory image per thread."""
-    with open(path, "w") as fh:
-        fh.write("%s C=%d mode=%s\n" % (BUNDLE_MAGIC, len(images), mode.value))
-        for img in images:
-            fh.write(img.to_text())
 
 
 def read_bundle(path):

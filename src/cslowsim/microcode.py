@@ -11,18 +11,22 @@ Rows execute as generated code, built from one table of transfers
 
   rows   each control-store row is one straight-line Python function
          (`_row_source`); `_STEP_TABLE[upc]` is the function for
-         micro-address `upc`.  `step`, the rows before the first Fetch
-         and the last few cycles before a cycle limit run on them.
+         micro-address `upc`.  The rows up to the first Fetch (from
+         reset, the reset row) and the last few cycles before a cycle
+         limit run on them.
   loop   one function (`_loop_source`) runs whole instructions with the
          registers in locals: each instruction is the rows from Fetch
          inline, every condition row an `if`.  Runs spend their cycles in
          it.  Its traced twin, generated by the same walk, also builds
-         each row's trace line and hands the text to a sink (`advance`
-         with `write`) a chunk at a time; it is compiled on the first
-         traced run, so untraced ones never pay for it.
+         each row's trace line and hands the text to a sink a chunk at a
+         time; it is compiled on the first traced run, so untraced ones
+         never pay for it.
 
-A traced run's memory does not grow with its length: its text goes to the
-sink, a file in practice, `TRACE_CHUNK` lines at a time.
+Only runs known to halt are traced: `advance` runs untraced, and
+`write_trace` runs an image again from reset, the reset row's line and
+then the traced loop up to the halt, into its files.  Its memory does not
+grow with the run's length: the text goes to the files `TRACE_CHUNK` lines
+at a time.
 
 Flag convention (the instruction set leaves it open): z and c update only on
 the four arithmetic transfers (A+1, A-1, A+Buffer, A-Buffer).  z is set when
@@ -37,8 +41,8 @@ SUB when I0=1, mirroring row 26 which selects STO when I0=1.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import shutil
 from dataclasses import dataclass
 from enum import Enum
 
@@ -422,16 +426,6 @@ def _traced_instructions():
     return _compile_loop(MICROPROGRAM, traced=True)[0]
 
 
-def step(state: CoreState, mem) -> None:
-    """Execute one micro-instruction (one clock cycle) by calling the
-    generated function of the row at `state.micro_pc`.
-
-    `mem` is any 256-cell byte store supporting item get/set (a bytearray,
-    a memoryview, or a MemoryImage).
-    """
-    _STEP_TABLE[state.micro_pc](state, mem)
-
-
 @dataclass
 class RunResult:
     state: CoreState
@@ -459,48 +453,57 @@ def run(image: MemoryImage, max_cycles: int = 100_000) -> RunResult:
     return RunResult(state, memory)
 
 
-def advance(state: CoreState, mem, max_cycles: int, write=None) -> bool:
+def advance(state: CoreState, mem, max_cycles: int) -> bool:
     """Step `state` on the cell store `mem` until it enters the halt row or
     its cycle count reaches `max_cycles`; True when it halted.
 
     This is the one core loop: `run` and the barrel's `run_all`, in every
-    memory mode, drive it.  Rows run up to the first Fetch (from reset,
-    the reset row alone), then the generated instruction loop runs whole
-    instructions while the costliest one (`WORST` rows) still fits under
-    `max_cycles`, and rows run the rest: the same states, cycle for cycle.
-    With a text sink `write` (a file's `write`, say), every step's trace
-    line, the state before it, goes to `write` in order: the traced loop
-    hands it `TRACE_CHUNK` lines at a time, and each row outside the loop
-    its own line.
+    memory mode, drive it, untraced.  Rows run up to the first Fetch (from
+    reset, the reset row alone), then the generated instruction loop runs
+    whole instructions while the costliest one (`WORST` rows) still fits
+    under `max_cycles`, and rows run the rest: the same states, cycle for
+    cycle.
     """
     table = _STEP_TABLE
     while (state.micro_pc != FETCH and state.micro_pc != HALT_SEQ
            and state.cycles < max_cycles):
-        if write is not None:
-            write(TRACE_FORMAT % state.snapshot())
         table[state.micro_pc](state, mem)
     if state.micro_pc == FETCH:
-        if write is None:
-            _INSTRUCTIONS(state, mem, max_cycles - WORST)
-        else:
-            _traced_instructions()(state, mem, max_cycles - WORST, write)
+        _INSTRUCTIONS(state, mem, max_cycles - WORST)
     while state.micro_pc != HALT_SEQ:
         if state.cycles >= max_cycles:
             return False
-        if write is not None:
-            write(TRACE_FORMAT % state.snapshot())
         table[state.micro_pc](state, mem)
     return True
 
 
-def write_trace(path, head, state: CoreState, end: int) -> None:
-    """Write the trace file at `path` of a thread that stopped in the halt
-    row in `state`: a copy of the file `head`, its run's text, then the
-    halt row's line for each cycle from `state.cycles` up to `end`,
-    `TRACE_CHUNK` lines at a time."""
-    shutil.copyfile(head, path)
-    if state.cycles < end:
+def write_trace(path, cells, halted: CoreState, ends) -> None:
+    """Write the trace files of threads that run the cells `cells` from
+    reset and stop in the halt row in the state `halted`.  `ends` maps each
+    file's path to the cycle its file ends at; `path` is one of them, the
+    file that names the call (the benchmark's tracer reads its size).
+
+    All the files are opened first.  The run from reset, the reset row's
+    line and then the traced instruction loop up to the halt, hands its
+    text on `TRACE_CHUNK` lines at a time, and each chunk is encoded once
+    and written to every file.  Then each file gets the halt row's line
+    for each cycle from `halted.cycles` up to its end.
+    """
+    state, mem = CoreState(), bytearray(cells)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p in ends]
+
+        def write(text):
+            data = text.encode()
+            for fh in files:
+                fh.write(data)
+
+        write(TRACE_FORMAT % state.snapshot())
+        _STEP_TABLE[RESET](state, mem)
+        _traced_instructions()(state, mem, halted.cycles, write)
+        assert state.snapshot() == halted.snapshot(), (state, halted)
         regs = (TRACE_FORMAT % state.snapshot()).split(" ", 1)[1]
-        with open(path, "a") as fh:
+        for fh, end in zip(files, ends.values()):
             for k in range(state.cycles, end, TRACE_CHUNK):
-                fh.write("".join([f"{j} {regs}" for j in range(k, min(k + TRACE_CHUNK, end))]))
+                lines = [f"{j} {regs}" for j in range(k, min(k + TRACE_CHUNK, end))]
+                fh.write("".join(lines).encode())

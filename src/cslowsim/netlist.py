@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class NetlistError(Exception):
@@ -78,8 +79,9 @@ class Node:
     delay: int = 0
 
 
-@dataclass(frozen=True)
-class Edge:
+# A named tuple: `with_weights` builds every edge anew, and a frozen
+# dataclass would set each field through `object.__setattr__`.
+class Edge(NamedTuple):
     src: str
     dst: str
     pin: int

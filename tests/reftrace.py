@@ -1,16 +1,34 @@
-"""Row-stepping references for traces and instruction costs.
+"""Row-stepping references for traces and instruction costs, and the
+bundle files the tests build.
 
+`step` runs one control-store row through the package's row table.
 `row_trace` is the core's traced run taken one row at a time: it steps
-`microcode.step` and keeps a snapshot tuple before every step, with none of
-the generated instruction loops.  `format_trace` spells such tuples in the
+`step` and keeps a snapshot tuple before every step, with none of the
+generated instruction loops.  `format_trace` spells such tuples in the
 trace file format, written down here rather than taken from the package, so
-the package's trace text is checked against both.
+the package's trace text is checked against both.  `write_bundle` writes
+the multi-image file `run-cslow` reads, its header spelt out here too.
 """
 
 from cslowsim.isa import ENCODING, MEMORY_SIZE, Mnemonic
-from cslowsim.microcode import FETCH, HALT_SEQ, CoreState, step
+from cslowsim.microcode import _STEP_TABLE, FETCH, HALT_SEQ, CoreState
 
 LINE = "%d %d %02x %02x %02x %02x %02x %d %d\n"
+
+
+def step(state: CoreState, mem) -> None:
+    """Execute one micro-instruction (one clock cycle): the generated
+    function of the row at `state.micro_pc`, on `mem`, any 256-cell byte
+    store supporting item get/set."""
+    _STEP_TABLE[state.micro_pc](state, mem)
+
+
+def write_bundle(path, images, mode) -> None:
+    """Multi-image bundle: header line, then one memory image per thread."""
+    with open(path, "w") as fh:
+        fh.write("cslow-bundle C=%d mode=%s\n" % (len(images), mode.value))
+        for img in images:
+            fh.write(img.to_text())
 
 
 def format_trace(trace) -> str:

@@ -9,9 +9,9 @@ import pytest
 
 import cslowsim
 import genprog
-from reftrace import format_trace, image_trace
+from reftrace import format_trace, image_trace, write_bundle
 from cslowsim import cli
-from cslowsim.cslow import MemoryMode, write_bundle
+from cslowsim.cslow import MemoryMode
 from cslowsim.isa import MemoryImage, assemble
 from cslowsim.microcode import run
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import genprog
-from cslowsim import cslow
+from cslowsim import cslow, microcode
 from cslowsim.cslow import (
     MAX_THREADS,
     BadThreadCount,
@@ -25,7 +25,6 @@ from cslowsim.cslow import (
     machine_report,
     read_bundle,
     sequential_baseline,
-    write_bundle,
 )
 from cslowsim.isa import MEMORY_SIZE, MemoryImage, assemble, assemble_program
 from cslowsim.microcode import (
@@ -33,9 +32,8 @@ from cslowsim.microcode import (
     CoreState,
     CycleLimitExceeded,
     run,
-    step,
 )
-from reftrace import format_trace, image_trace
+from reftrace import format_trace, image_trace, step, write_bundle
 
 
 def asm(text):
@@ -506,19 +504,25 @@ def test_run_all_advance_calls(mode, picks, monkeypatch, tmp_path):
     images = [programs[i].copy() for i in picks]
     if mode is MemoryMode.SHARED:
         images = images[:1]
-    calls = []
-    def counted(*args, _real=cslow.advance, **kwargs):
-        calls.append(args[0])
-        return _real(*args, **kwargs)
-    monkeypatch.setattr(cslow, "advance", counted)
-    machine = CslowMachine(CslowConfig(len(picks), mode), images)
-    paths = trace_paths(tmp_path, len(picks))
-    machine.run_all(paths)
-    # One run per distinct image, on the first thread that starts from it.
+    calls = {"advance": [], "write_trace": []}
+    for owner, name in ((cslow, "advance"), (microcode, "write_trace")):
+        def counted(*args, _calls=calls[name], _real=getattr(owner, name), **kwargs):
+            _calls.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    # One run per distinct image, on the first thread that starts from it,
+    # and untraced, no traced pass.
     firsts = [picks.index(i) for i in dict.fromkeys(picks)]
-    assert calls == [machine.contexts[t] for t in firsts]
+    for paths in (None, trace_paths(tmp_path, len(picks))):
+        calls["advance"].clear()
+        machine = CslowMachine(CslowConfig(len(picks), mode), images)
+        machine.run_all(paths)
+        assert calls["advance"] == [machine.contexts[t] for t in firsts]
+    # Traced, one traced pass per distinct image, named by the first
+    # thread's file.
+    assert calls["write_trace"] == [paths[t] for t in firsts]
     # Each thread's file is its image's run, then the halt row up to its
-    # last slot; no temporary file is left.
+    # last slot; no other file is left.
     assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
     for t, path in enumerate(paths):
         _, state, _, trace = image_trace(programs[picks[t]])

@@ -1,4 +1,6 @@
+import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import genprog
 import refisa
 import refmicro
+from cslowsim import microcode
 from cslowsim.isa import MEMORY_SIZE, MemoryImage, Mnemonic, assemble, assemble_program
 from cslowsim.microcode import (
     _STEP_TABLE,
@@ -22,10 +25,9 @@ from cslowsim.microcode import (
     advance,
     build_microprogram,
     run,
-    step,
     write_trace,
 )
-from reftrace import format_trace, image_trace, instruction_cycle_cost, row_trace
+from reftrace import format_trace, image_trace, instruction_cycle_cost, row_trace, step
 
 
 def test_microprogram_shape():
@@ -221,30 +223,33 @@ def test_observed_costs_match_cycle_table():
         assert cycles == refmicro.EXPECTED_COSTS[name]
 
 
-def traced_run(image, max_cycles=100_000):
-    """`advance` from reset with a text sink: (halted, state, cells, text)."""
-    state, mem, parts = CoreState(), bytearray(image.cells), []
-    halted = advance(state, mem, max_cycles, parts.append)
-    return halted, state, mem, "".join(parts)
+def traced_run(image, directory):
+    """`run`, then the trace file `write_trace` writes of it into
+    `directory`: (state, cells, text)."""
+    res = run(image)
+    path = directory / "t.trc"
+    write_trace(path, image.cells, res.state, {path: res.cycles})
+    return res.state, res.memory.cells, path.read_text()
 
 
-def test_run_deterministic_with_trace():
+def test_run_deterministic_with_trace(tmp_path):
     asm = assemble_program("L: INCA\nJOZ L\nHALT")
-    a = traced_run(asm.image)
-    b = traced_run(asm.image)
-    assert a[3] == b[3]
-    assert a[1].snapshot() == b[1].snapshot()
+    a = traced_run(asm.image, tmp_path)
+    b = traced_run(asm.image, tmp_path)
     assert a[2] == b[2]
+    assert a[0].snapshot() == b[0].snapshot()
+    assert a[1] == b[1]
     # The text is the row-by-row reference's, and the run the untraced one's.
     halted, state, mem, trace = image_trace(asm.image)
-    assert a[3] == format_trace(trace)
-    assert a[1].snapshot() == state.snapshot() == run(asm.image).state.snapshot()
+    assert a[2] == format_trace(trace)
+    assert a[0].snapshot() == state.snapshot() == run(asm.image).state.snapshot()
+    assert bytes(a[1]) == bytes(mem)
 
 
-def test_trace_format():
-    halted, state, _, text = traced_run(assemble("HALT"))
+def test_trace_format(tmp_path):
+    state, _, text = traced_run(assemble("HALT"), tmp_path)
     lines = text.splitlines()
-    assert halted and len(lines) == 8 == state.cycles
+    assert state.halted and len(lines) == 8 == state.cycles
     assert lines[0] == "0 0 00 00 00 00 00 0 0"
     fields = lines[2].split()
     assert len(fields) == 9
@@ -253,18 +258,30 @@ def test_trace_format():
 
 @pytest.mark.parametrize("rows", [0, 1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1])
 def test_write_trace_matches_format_trace(rows, tmp_path):
-    # A halted run's text, copied from its head file, then `rows` cycles
-    # on the halt row, across the chunk edges.
-    halted, state, _, trace = image_trace(assemble("LOAD X\nINCA\nHALT\nX: .word 0xFE"))
-    head = tmp_path / "head"
-    head.write_text(format_trace(trace))
-    path = tmp_path / "t.trc"
+    # A halted run's text, then `rows` cycles on the halt row, across the
+    # chunk edges, over an existing, longer file; a second file of the
+    # same run ends at the halt.
+    image = assemble("LOAD X\nINCA\nHALT\nX: .word 0xFE")
+    halted, state, _, trace = image_trace(image)
+    path, other = tmp_path / "t.trc", tmp_path / "u.trc"
     end = state.cycles + rows
     path.write_text("an earlier, longer file\n" * 9000)
-    write_trace(path, head, state, end)
+    write_trace(path, image.cells, state, {path: end, other: state.cycles})
     pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, end)]
     assert path.read_text() == format_trace(trace + pad)
-    assert head.read_text() == format_trace(trace)
+    assert other.read_text() == format_trace(trace)
+
+
+def test_write_trace_checks_the_halt(tmp_path):
+    # The traced pass must stop in the state the untraced run reached.
+    image = assemble("LOAD X\nINCA\nHALT\nX: .word 0xFE")
+    state = run(image).state
+    for field, value in (("cycles", state.cycles + 1), ("a", state.a ^ 1)):
+        wrong = run(image).state
+        setattr(wrong, field, value)
+        path = tmp_path / "t.trc"
+        with pytest.raises(AssertionError):
+            write_trace(path, image.cells, wrong, {path: wrong.cycles})
 
 
 def test_halted_latch():
@@ -360,11 +377,28 @@ def test_untraced_advance_matches_rows(cells, tagged, data):
             assert exc.value.state.snapshot() == ref.snapshot()
 
 
+class RecordedFile(io.BytesIO):
+    """A file opened for writing that keeps each write's bytes, by path,
+    in `writes`."""
+
+    writes = {}
+
+    def __init__(self, path, mode):
+        assert mode == "wb"
+        super().__init__()
+        self.parts = RecordedFile.writes[path] = []
+
+    def write(self, data):
+        self.parts.append(bytes(data))
+        return len(data)
+
+
 @settings(max_examples=150, deadline=None)
 @given(cells=st.binary(min_size=256, max_size=256), data=st.data())
-def test_traced_advance_matches_rows(cells, data):
-    # The traced instruction loop writes the row-by-row reference's text,
-    # in chunks, and stops in its state, at every kind of limit.
+def test_write_trace_matches_rows(cells, data):
+    # An image runs untraced under each drawn limit; where it halts, each
+    # of its files holds the row-by-row reference's text, then its own
+    # halt rows, in writes of at most `TRACE_CHUNK` lines.
     probe = CoreState()
     h = probe.cycles if _step_rows(probe, bytearray(cells), _ROWS_CAP) else None
     edges = [1, 2, 12, 13]
@@ -375,9 +409,21 @@ def test_traced_advance_matches_rows(cells, data):
     for limit in limits:
         ref, ref_mem = CoreState(), bytearray(cells)
         ref_halted, trace = row_trace(ref, ref_mem, limit)
-        state, mem, parts = CoreState(), bytearray(cells), []
-        halted = advance(state, mem, limit, parts.append)
+        state, mem = CoreState(), bytearray(cells)
+        halted = advance(state, mem, limit)
         assert (halted, state.snapshot(), bytes(mem)) == (
             ref_halted, ref.snapshot(), bytes(ref_mem))
-        assert "".join(parts) == format_trace(trace)
-        assert all(len(part.splitlines()) <= TRACE_CHUNK for part in parts)
+        if not halted:
+            continue
+        pads = data.draw(st.lists(st.sampled_from([0, 1, TRACE_CHUNK, TRACE_CHUNK + 1])
+                                  | st.integers(0, 40), min_size=1, max_size=3))
+        ends = {"t%d" % k: state.cycles + pad for k, pad in enumerate(pads)}
+        RecordedFile.writes = {}
+        with mock.patch.object(microcode, "open", RecordedFile, create=True):
+            write_trace("t0", cells, state, ends)
+        assert list(RecordedFile.writes) == list(ends)
+        for path, end in ends.items():
+            parts = RecordedFile.writes[path]
+            pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, end)]
+            assert b"".join(parts).decode() == format_trace(trace + pad)
+            assert all(part.count(b"\n") <= TRACE_CHUNK for part in parts)
