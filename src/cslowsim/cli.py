@@ -126,11 +126,11 @@ def cmd_bench(args) -> int:
                              "per thread" % (n, len(images)))
     mode = cslow.MemoryMode(args.mode)
 
-    sweep = cslow.Sweep(images, mode, args.max_cycles)
+    halts = {}  # one run per distinct image over all rows
     rows = []
     print("n_threads sequential_sum cslow_rounds fast_cycles speedup")
     for n in c_values:
-        result = sweep.compare(n)
+        result = cslow.compare(images[:n], n, mode, args.max_cycles, halts)
         rows.append({
             "n_threads": n,
             "sequential_sum": result.sum,

@@ -48,10 +48,19 @@ one traced pass from reset on a copy of its starting cells up to the known
 halt cycle (`microcode.write_trace`), writing each chunk to the files of
 every thread in the group, and then each file gets its own halt-row lines.
 A run that stops at its limit raises CycleLimitExceeded before any file is
-opened, so existing files at the trace paths stay as they were.  The
-reference `run_all` is tested against, in `tests/test_cslow.py`, steps C
-cores round-robin, one row per fast cycle, over one store per thread
-(shared memory: one store for all), keeping a snapshot per step.
+opened, and every path is opened without truncation before any is written,
+so a limit or a path that cannot be opened leaves existing files at the
+trace paths as they were.  The reference `run_all` is tested against, in
+`tests/test_cslow.py`, steps C cores round-robin, one row per fast cycle,
+over one store per thread (shared memory: one store for all), keeping a
+snapshot per step.
+
+`compare`, one row of `cslowsim bench`, needs only the threads' cycles to
+halt, so it is the closed form of plain-core runs (`microcode.run`), one
+per distinct starting image, each within the budget of its first thread;
+a dict of cycles to halt shared by the rows of a sweep runs each image
+once in all.  Only a thread over its budget builds the machine, whose
+`run_all` raises CycleLimitExceeded with the threads and their states.
 """
 
 from __future__ import annotations
@@ -160,8 +169,9 @@ class CslowMachine:
         padded with halt-row lines up to its thread's last slot.
         Raises CycleLimitExceeded, naming the threads still running and
         carrying their states, when that takes more than `max_fast_cycles`
-        fast cycles; then no trace file is opened.  Raises ValueError on a
-        machine that has already run.
+        fast cycles; then no trace file is opened.  A trace path that cannot
+        be opened raises OSError before any file is written.  Raises
+        ValueError on a machine that has already run.
         """
         if self.fast_cycles:
             raise ValueError("run_all runs a machine once, from reset")
@@ -184,6 +194,10 @@ class CslowMachine:
         else:
             total = independent_metrics(self.halt_cycle).fast_cycles_total
             if trace_paths:
+                # Open them all before writing any: a path that cannot be
+                # opened raises with every existing file as it was.
+                for path in trace_paths[:c]:
+                    open(path, "ab").close()
                 for cells, threads in groups.items():
                     ends = {trace_paths[t]: slots(total, t, c) for t in threads}
                     microcode.write_trace(trace_paths[threads[0]], cells,
@@ -273,69 +287,43 @@ class CompareResult:
     speedup: Fraction
 
 
-def _compare_result(seq: int, metrics: RunMetrics) -> CompareResult:
+def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
+            max_cycles: int = DEFAULT_MAX_FAST_CYCLES, halts=None) -> CompareResult:
+    """Sequential-sum vs interleaved-rounds comparison for the machine of
+    `c` threads on `images`, as `run_all` has it.
+
+    The threads never interact, so this is the closed form of plain-core
+    runs: each distinct starting image runs once, within the budget of its
+    first thread, the largest any thread on it has.  `halts` maps an
+    image's cells to its cycles to halt; give one dict to every call of a
+    sweep and an image runs at most once in all.  It holds only runs that
+    halted.  A thread over its budget raises CycleLimitExceeded from the
+    machine, with the threads and their states.
+    """
+    halts = {} if halts is None else halts
+    budgets = [slots(max_cycles, t, c) for t in range(c)]
+    cycles = []
+    for image, budget in zip(_thread_images(c, mode, images), budgets):
+        key = bytes(image.cells)
+        if key not in halts and budget > 0:
+            try:
+                halts[key] = run(image, budget).cycles
+            except CycleLimitExceeded:
+                pass
+        h = halts.get(key)
+        if h is None or h > budget:
+            CslowMachine(CslowConfig(c, mode, max_cycles), images).run_all()
+            raise AssertionError("thread %d ran past its budget of %d steps, "
+                                 "yet the machine halted" % (len(cycles), budget))
+        cycles.append(h)
+    seq = sum(cycles[:len(images)])
+    metrics = independent_metrics(cycles)
     return CompareResult(
         sum=seq,
         max_rounds=metrics.rounds,
         fast_cycles=metrics.fast_cycles_total,
         speedup=Fraction(seq, metrics.rounds),
     )
-
-
-def compare(images, c: int, mode: MemoryMode = MemoryMode.PRIVATE,
-            max_cycles: int = DEFAULT_MAX_FAST_CYCLES) -> CompareResult:
-    """Sequential-sum vs interleaved-rounds comparison for one thread count."""
-    machine = CslowMachine(CslowConfig(c, mode, max_cycles), images)
-    metrics = machine.run_all()
-    return _compare_result(sequential_cycles(machine, images), metrics)
-
-
-class Sweep:
-    """`compare` on the first C images, for one thread count C after another.
-
-    Each distinct starting image runs on the plain core when the first row
-    with a thread on it comes up, within that thread's budget, and every
-    row is the closed form of those runs (in shared mode every thread
-    starts from the one image).  An image that did not halt runs again only
-    for a thread with a larger budget, so one that halts runs once.  A row
-    with a thread over its budget runs `compare`.
-    """
-
-    def __init__(self, images, mode: MemoryMode = MemoryMode.PRIVATE,
-                 max_cycles: int = DEFAULT_MAX_FAST_CYCLES):
-        self.images = list(images)
-        self.mode = mode
-        self.max_cycles = max_cycles
-        # An image's cells -> (its cycles to halt, None if it did not halt
-        # within the budget it ran at; that budget).
-        self._halts = {}
-
-    def compare(self, c: int) -> CompareResult:
-        row = self.images[:c]
-        # Budgets fall with t: the first thread on an image has the row's
-        # largest budget for it.
-        budgets = [slots(self.max_cycles, t, c) for t in range(c)]
-        cycles = []
-        for image, budget in zip(_thread_images(c, self.mode, row), budgets):
-            key = bytes(image.cells)
-            h, ran = self._halts.get(key, (None, 0))
-            if h is None and ran < budget:
-                h, ran = self._halts[key] = _cycles_to_halt(image, budget), budget
-            cycles.append(h)
-        if all(h is not None and h <= b for h, b in zip(cycles, budgets)):
-            return _compare_result(sum(cycles[:len(row)]), independent_metrics(cycles))
-        # A thread over its budget: the machine raises with its state.
-        return compare(row, c, self.mode, self.max_cycles)
-
-
-def _cycles_to_halt(image: MemoryImage, budget: int):
-    """The image's cycles on the plain core; None past `budget` cycles."""
-    if budget > 0:
-        try:
-            return run(image, budget).cycles
-        except CycleLimitExceeded:
-            pass
-    return None
 
 
 def machine_report(machine: CslowMachine, sequential_sum: int) -> dict:

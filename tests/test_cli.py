@@ -10,7 +10,7 @@ import pytest
 import cslowsim
 import genprog
 from reftrace import format_trace, image_trace, write_bundle
-from cslowsim import cli
+from cslowsim import cli, cslow
 from cslowsim.cslow import MemoryMode
 from cslowsim.isa import MemoryImage, assemble
 from cslowsim.microcode import run
@@ -203,6 +203,32 @@ def test_limit_exceeded_leaves_existing_trace_untouched(argv, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == sorted(files + [image])
 
 
+@pytest.mark.parametrize("argv, programs", [
+    (["--mode", "shared", "--c", "3"], [LONG]),
+    (["--mode", "private"], [LONG, SHORT, genprog.nested_loop(3, 40)]),
+], ids=["shared", "private"])
+def test_unopenable_trace_path_leaves_existing_traces_untouched(argv, programs, tmp_path,
+                                                                capsys):
+    # Thread 1's path is a directory: the run exits 1 before any file is
+    # written, also the files of a group that runs before thread 1's.
+    images = []
+    for i, program in enumerate(programs):
+        path = tmp_path / ("p%d.hex" % i)
+        path.write_text(assemble(program).to_text())
+        images.append(str(path))
+    (tmp_path / "tr.t1.trc").mkdir()
+    files = [tmp_path / "tr.t0.trc", tmp_path / "tr.t2.trc"]
+    for t, f in enumerate(files):
+        f.write_bytes(b"an earlier run's trace of thread %d\n" % (2 * t))
+    before = sorted(tmp_path.iterdir())
+    code, stdout, stderr = run_cli(capsys, ["run-cslow", *images, *argv,
+                                            "--trace", str(tmp_path / "tr")])
+    assert (code, stdout) == (1, "") and "tr.t1.trc" in stderr
+    assert [f.read_bytes() for f in files] == [
+        b"an earlier run's trace of thread 0\n", b"an earlier run's trace of thread 2\n"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_run_cslow_three_programs(tmp_path, corpus_programs, capsys):
     images = []
     for i, src in enumerate(corpus_programs):
@@ -274,6 +300,35 @@ def test_bench_corpus_sum_vs_max(tmp_path, corpus_programs, capsys):
         [base[0], base[0] + base[1], sum(base)]
     assert [r["cslow_rounds"] for r in rows] == \
         [base[0], max(base[:2]), max(base)]
+
+
+@pytest.mark.parametrize("mode, picks", [
+    ("private", (0, 1, 0, 2, 1, 0)), ("tagged", (2, 2, 0, 1, 0, 1)), ("shared", (0,) * 4)])
+def test_bench_runs_each_program_once(mode, picks, tmp_path, capsys, monkeypatch):
+    # Rows share their runs: one `cslow.run` per distinct program over the
+    # whole sweep, and each row is the row `bench` gives for its C alone.
+    sources = [genprog.nested_loop(2, 30), SHORT, genprog.nested_loop(3, 11)]
+    paths = []
+    for i, pick in enumerate(picks):
+        path = tmp_path / ("p%d.asm" % i)
+        path.write_text(sources[pick])
+        paths.append(str(path))
+    runs = []
+    def counted(image, *args, _real=cslow.run, **kwargs):
+        runs.append(bytes(image.cells))
+        return _real(image, *args, **kwargs)
+    monkeypatch.setattr(cslow, "run", counted)
+    report = tmp_path / "bench.json"
+    code, _, _ = run_cli(capsys, ["bench", *paths, "--mode", mode, "--json", str(report)])
+    assert code == 0
+    assert len(runs) == len(set(runs)) == len(set(picks))
+    rows = json.loads(report.read_text())["rows"]
+    assert [row["n_threads"] for row in rows] == list(range(1, len(picks) + 1))
+    for row in rows:
+        code, _, _ = run_cli(capsys, ["bench", *paths, "--mode", mode, "--json", str(report),
+                                      "--c-values", str(row["n_threads"])])
+        assert code == 0
+        assert json.loads(report.read_text())["rows"] == [row]
 
 
 @pytest.mark.parametrize("mode", ["private", "tagged"])

@@ -20,7 +20,6 @@ from cslowsim.cslow import (
     ImageMismatch,
     MemoryMode,
     RunMetrics,
-    Sweep,
     compare,
     machine_report,
     read_bundle,
@@ -376,6 +375,19 @@ def outcome(call):
         return exc.threads
 
 
+def machine_compare(images, c, mode, max_cycles=cslow.DEFAULT_MAX_FAST_CYCLES):
+    """`compare` as the machine has it: its run's rounds and fast cycles
+    against the images' sequential sum, or the threads its
+    CycleLimitExceeded names."""
+    machine = CslowMachine(CslowConfig(c, mode, max_cycles), images)
+    metrics = outcome(machine.run_all)
+    if isinstance(metrics, list):
+        return metrics
+    seq = cslow.sequential_cycles(machine, images)
+    return CompareResult(seq, metrics.rounds, metrics.fast_cycles_total,
+                         Fraction(seq, metrics.rounds))
+
+
 def trace_paths(directory, c):
     return [os.path.join(directory, "t%d.trc" % t) for t in range(c)]
 
@@ -445,12 +457,13 @@ def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
         assert stuck and exc.value.threads == stuck
         assert exc.value.state == [machine.contexts[t] for t in stuck]
         assert_same_machine(machine, ref, directory)
-        # `bench` rows under that limit, rows 1..C in turn: each one as its
-        # own `compare` has it, and the last one stopped on the same threads.
-        sweep = Sweep(images, mode, total - 1)
+        # `bench` rows under that limit, rows 1..C in turn on one `halts`:
+        # each one as its machine has it, and the last one stopped on the
+        # same threads.
+        halts = {}
         for n in range(1, c + 1):
-            row = outcome(lambda: sweep.compare(n))
-            assert row == outcome(lambda: compare(images[:n], n, mode, total - 1))
+            row = outcome(lambda: compare(images[:n], n, mode, total - 1, halts))
+            assert row == machine_compare(images[:n], n, mode, total - 1)
         assert row == stuck
 
         # A limit anywhere in the run (`cut` thousandths of the way) stops,
@@ -461,15 +474,17 @@ def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
         assert outcome(lambda: traced_run_all(machine, directory)) == (stuck or ref.metrics())
         assert_same_machine(machine, ref, directory)
 
-    # `bench` rows: one `compare` per C, each as the tick loop has it.
-    sweep = Sweep(images, mode)
+    # `bench` rows: one `compare` per C, alone and on one `halts` for all
+    # rows, each as the tick loop has it, and so is each row's machine.
+    halts = {}
     for n in range(1, c + 1):
         ref, _ = tick_oracle(CslowConfig(n, mode), images[:n], False)
         seq = sum(run(img).cycles for img in images[:n])
         rounds = max(ref.halt_cycle)
         expected = CompareResult(seq, rounds, ref.fast_cycles, Fraction(seq, rounds))
         assert compare(images[:n], n, mode) == expected
-        assert sweep.compare(n) == expected
+        assert compare(images[:n], n, mode, halts=halts) == expected
+        assert CslowMachine(CslowConfig(n, mode), images[:n]).run_all() == ref.metrics()
 
 
 def test_shared_run_at_every_limit(tmp_path):
@@ -542,9 +557,9 @@ def test_sweep_runs_each_thread_once(mode, picks, monkeypatch):
             runs.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(cslow, name, counted)
-    sweep = Sweep(images, mode)
+    halts = {}
     for c in range(1, MAX_THREADS + 1):
-        sweep.compare(c)
+        compare(images[:c], c, mode, halts=halts)
     # Threads that start from one image run it in lock-step: one run serves
     # every thread of every row that starts from it.
     assert len(runs) == len(set(picks))
@@ -561,19 +576,23 @@ def test_sweep_stops_a_looping_image_at_its_row_budget(monkeypatch):
         return _real(image, max_cycles, *args, **kwargs)
     monkeypatch.setattr(cslow, "run", recorded)
     limit = 10_000
-    sweep = Sweep(images, MemoryMode.PRIVATE, limit)
+    halts = {}
     for c in range(1, 8):
-        assert sweep.compare(c).max_rounds == run(images[0]).cycles
+        row = compare(images[:c], c, MemoryMode.PRIVATE, limit, halts)
+        assert row.max_rounds == run(images[0]).cycles
     with pytest.raises(CycleLimitExceeded) as exc:
-        sweep.compare(8)
+        compare(images, 8, MemoryMode.PRIVATE, limit, halts)
     assert exc.value.threads == [7]
     assert budgets == [limit, cslow.slots(limit, 7, 8)]
-    # The loop's `None` holds for every row that gives it no larger budget,
-    # and a row that does runs it again.
-    with pytest.raises(CycleLimitExceeded):
-        sweep.compare(8)
-    loops = Sweep(images[7:] * 2, MemoryMode.PRIVATE, limit)
-    for c in (2, 1, 2):
-        with pytest.raises(CycleLimitExceeded):
-            loops.compare(c)
-    assert budgets[2:] == [cslow.slots(limit, 0, 2), limit]
+    # `halts` keeps only runs that halted: the loop runs again, and raises
+    # again, as the machine does.
+    assert list(halts) == [bytes(images[0].cells)]
+    with pytest.raises(CycleLimitExceeded) as again:
+        compare(images, 8, MemoryMode.PRIVATE, limit, halts)
+    machine = CslowMachine(CslowConfig(8, MemoryMode.PRIVATE, limit), images)
+    with pytest.raises(CycleLimitExceeded) as direct:
+        machine.run_all()
+    assert again.value.threads == direct.value.threads == [7]
+    assert [s.snapshot() for s in again.value.state] == \
+        [s.snapshot() for s in direct.value.state]
+    assert budgets[2:] == [cslow.slots(limit, 7, 8)]
