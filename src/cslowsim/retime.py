@@ -38,15 +38,17 @@ each feasible probe's s starts the smaller ones, whose least s is larger.
 nonzero ones, the period, and the retimed netlist, checked to meet it.
 
 Equivalence is checked by one bit-parallel simulation of each circuit
-(`check_equivalence`).  It draws `factor` independent slot streams: b sees
-them interleaved, slot j at its cycles j, j + factor, ...; a runs once
-over all of them side by side in `factor * trials` lanes.  Each slot of b
-must match a delayed by `shift` cycles (pipelining latency), compared from
-cycle `warmup + shift` on.  Retiming moves registers across logic, so the
-retimed circuit may disagree with the original during a start-up
-transient: the plain check (factor 1) waits out a conservative flush
-warm-up.  Pure C-slow needs none, so `check_cslow_equivalence` compares
-from cycle 0.
+(`check_equivalence`), on `cycles` random values per input drawn on b's
+clock.  With a slow-down `factor`, a is the circuit before C-slow: b's
+cycles j, j + factor, ... are a's slot j, and a runs all slots side by
+side, slot j in lanes j * trials onwards.  b at cycle t must match a at
+t - `shift` (pipelining latency), from cycle `warmup + shift` on.  C-slow
+is exact from cycle 0, since every register starts at 0, so a retimed
+C-slowed netlist is checked against the original itself.  Retiming moves
+registers across logic and may disagree with its source during a start-up
+transient, so the check waits out `flush_warmup` of the C-slowed and the
+retimed circuit.  `check_cslow_equivalence` checks C-slow alone, from
+cycle 0.
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ def _feas(delay, edges, hosts, c, start):
         tied = next((h for h in hosts if is_raised[h]), None)
         if tied is not None:
             pulled = [h for h in hosts if not is_raised[h]]
-            for v in pulled:  # `pulled` grows as we go
+            for v in pulled:  # before the walk, so no host is queued twice
                 is_raised[v] = True
+            for v in pulled:  # `pulled` grows as we go
                 parent[v] = parent[tied]
                 raised.append(v)
                 for u in into[v]:
@@ -262,10 +265,11 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
                       shift: int = 0, seed: int = 0,
                       factor: int = 1) -> EquivalenceReport:
     """Drive both netlists with the same random streams and compare their
-    outputs; see the module docstring.  `cycles` is per slot (b runs
-    `factor` times as many) and defaults to 256 compared cycles past
-    `warmup + shift`; `warmup` defaults to `flush_warmup`.  A run too
-    short to compare any cycle is refused rather than passed.
+    outputs; see the module docstring.  `cycles`, `warmup` and `shift` all
+    count b's cycles; a runs ceil(cycles / factor) steps.  `cycles`
+    defaults to 256 compared cycles past `warmup + shift`; `warmup`
+    defaults to `flush_warmup`.  A run too short to compare any cycle is
+    refused rather than passed.
 
     Trials run bit-parallel: trial k occupies bit k of every stream value.
     """
@@ -285,43 +289,43 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
         raise ValueError("need more than %d cycles to compare past warm-up %d "
                          "and shift %d" % (start, warmup, shift))
     getrandbits = random.Random(seed).getrandbits
-    names = a.inputs()
-    slots = [{name: list(map(getrandbits, repeat(trials, cycles))) for name in names}
-             for _ in range(factor)]
-    # b sees slot j's streams at its cycles j, j+factor, ...; a runs once
-    # for every slot, with slot j's trials in lanes j*trials onwards.
-    fast_streams, packed = {}, {}
-    for name in names:
-        fast = [0] * (factor * cycles)
-        column = slots[0][name]
-        for j, streams in enumerate(slots):
-            fast[j::factor] = streams[name]
-            if j:
-                column = list(map(or_, column,
-                                  map(lshift, streams[name], repeat(j * trials))))
-        fast_streams[name], packed[name] = fast, column
-    outs_a = simulate(a, packed, cycles, lanes=factor * trials)
-    outs_b = simulate(b, fast_streams, factor * cycles, lanes=trials)
-    masks = repeat((1 << trials) - 1)
-    for j in range(factor):
-        for name in a.outputs():
-            lanes = outs_a[name][warmup:cycles - shift]
-            if j:
-                lanes = map(rshift, lanes, repeat(j * trials))
-            want = list(map(and_, lanes, masks))
-            got = outs_b[name][factor * start + j::factor]
-            if got != want:
-                t = start + next(t for t, (g, w) in enumerate(zip(got, want)) if g != w)
-                return EquivalenceReport(False, warmup, trials, cycles, shift,
-                                         mismatch=(name, factor * t + j))
+    streams = {name: list(map(getrandbits, repeat(trials, cycles)))
+               for name in a.inputs()}
+    # a sees slot j = b's cycles j, j+factor, ... in lanes j*trials onwards.
+    steps = -(-cycles // factor)
+    pad = [0] * (steps * factor - cycles)
+    packed = {}
+    for name, stream in streams.items():
+        stream = stream + pad
+        column = stream[::factor]
+        for j in range(1, factor):
+            column = list(map(or_, column,
+                              map(lshift, stream[j::factor], repeat(j * trials))))
+        packed[name] = column
+    outs_a = simulate(a, packed, steps, lanes=factor * trials)
+    outs_b = simulate(b, streams, cycles, lanes=trials)
+    mask = repeat((1 << trials) - 1)
+    for name in a.outputs():
+        column = outs_a[name]
+        want = [0] * (steps * factor)  # a's outputs on b's clock
+        for j in range(factor):
+            want[j::factor] = map(and_, map(rshift, column, repeat(j * trials)), mask)
+        want = want[warmup:cycles - shift]
+        got = outs_b[name][start:]
+        if got != want:
+            t = start + next(t for t, (g, w) in enumerate(zip(got, want)) if g != w)
+            return EquivalenceReport(False, warmup, trials, cycles, shift,
+                                     mismatch=(name, t))
     return EquivalenceReport(True, warmup, trials, cycles, shift)
 
 
 def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,
-                            trials: int = 100, cycles: int | None = 256,
+                            trials: int = 100, cycles: int = 256,
                             seed: int = 0) -> EquivalenceReport:
-    """b, `factor`-slowed, against a from cycle 0: all registers start at 0."""
-    return check_equivalence(a, b, trials, cycles, warmup=0, seed=seed, factor=factor)
+    """b, `factor`-slowed, against a from cycle 0 (all registers start at
+    0), over `cycles` cycles of each slot."""
+    return check_equivalence(a, b, trials, factor * cycles, warmup=0, seed=seed,
+                             factor=factor)
 
 
 # Published synthesis measurement for a 3-slow build of the microprogrammed

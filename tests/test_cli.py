@@ -487,6 +487,49 @@ def test_retime_cslow_0_is_usage_error(capsys):
     assert "slowdown factor" in stderr
 
 
+def test_retime_output_declared_before_its_input(tmp_path, capsys):
+    # out0 reads in1 through a register-free wire and is declared first: the
+    # host tie once raised in1 twice in one pass, and retiming died with an
+    # uncaught IllegalRetiming.
+    path = tmp_path / "tie.net"
+    path.write_text("output out0\ninput in1\ninput in0\noutput out1\n"
+                    "gate g1 BUF 2\ngate g2 BUF 2\nwire in1 out0 0 0\n"
+                    "wire in0 g1 0 0\nwire g1 g2 0 0\nwire g2 out1 0 1\n")
+    code, stdout, stderr = run_cli(capsys, ["retime", str(path), "--check", "20"])
+    assert (code, stderr) == (0, "")
+    report = json.loads(stdout)
+    assert (report["period_before"], report["period_after"]) == (4, 2)
+    assert report["equivalence"] == "PASS"
+
+
+@pytest.mark.parametrize("circuit, flags", [
+    ("ring", ["--cslow", "3"]), ("chain", ["--pipeline", "2"]), ("random86", [])])
+def test_retime_check_simulates_original_and_final(capsys, monkeypatch, circuit, flags):
+    # One check per run: the final netlist against the original itself, so
+    # exactly two netlists are simulated and the C-slowed one is not.
+    from conftest import CORPUS
+    from cslowsim import netlist, retime
+    path = CORPUS / "circuits" / (circuit + ".net")
+    simulated = []
+    real = retime.simulate
+
+    def counting(net, *args, **kwargs):
+        simulated.append(net)
+        return real(net, *args, **kwargs)
+
+    monkeypatch.setattr(retime, "simulate", counting)
+    code, stdout, _ = run_cli(capsys, ["retime", str(path), *flags, "--check", "10"])
+    assert code == 0 and json.loads(stdout)["equivalence"] == "PASS"
+    original = netlist.parse(path.read_text())
+    if "--pipeline" in flags:
+        final = retime.pipeline(original, 2)
+    else:
+        slowed = retime.cslow_transform(original, 3 if flags else 1)
+        final = retime.min_period_retime(slowed).netlist
+        assert final != slowed
+    assert simulated == [original, final]
+
+
 @pytest.mark.parametrize("argv, option", [
     (["run"], "image"),
     (["retime", "ring.net", "--cslow", "abc"], "--cslow"),

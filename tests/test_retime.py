@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gennet
+import refnet
 import refretime
 from cslowsim.netlist import (Edge, Netlist, Node, NodeKind, critical_path, parse,
                               simulate)
@@ -196,19 +197,112 @@ def test_area_report_no_registers(chain_net_text):
 def test_cslow_check_fails_on_changed_gate(ring_net_text):
     # The 3-slowed ring with its XOR turned into an OR differs only when the
     # input and the fed-back value are both 1.  The expected mismatches pin
-    # the order of comparison: slot by slot, each output, then cycle by
-    # cycle; the last two cases first differ in slots 1 and 2.
+    # the order of comparison: output by output, then cycle by cycle on the
+    # slowed circuit's clock, whose cycle t is slot t mod 3; the three cases
+    # first differ in slots 0, 1 and 2.
     ring = parse(ring_net_text)
     slowed = cslow_transform(ring, 3)
     broken = Netlist([Node(n.name, NodeKind.OR, n.delay) if n.name == "g1" else n
                       for n in slowed.nodes.values()], slowed.edges)
-    for trials, cycles, seed, mismatch in ((32, 64, 1, ("out", 6)),
-                                           (1, 4, 32, ("out", 10)),   # slot 1
-                                           (1, 4, 10, ("out", 11))):  # slot 2
+    for trials, cycles, seed, mismatch in ((32, 64, 1, ("out", 6)),   # slot 0
+                                           (1, 4, 9, ("out", 10)),    # slot 1
+                                           (1, 4, 17, ("out", 11))):  # slot 2
         report = check_cslow_equivalence(ring, broken, 3, trials=trials,
                                          cycles=cycles, seed=seed)
         assert report.verdict == "FAIL"
         assert report.mismatch == mismatch
+
+
+def _inverting_ring():
+    """XOR -> NOT -> BUF -> BUF in a loop, two registers on the feedback
+    wire and one on each io wire: retiming moves a register across the NOT,
+    and the all-zero start then seeds the loop with a state the original
+    never held."""
+    return parse("input in\noutput out\ngate g1 XOR 1\ngate g2 NOT 1\n"
+                 "gate g3 BUF 1\ngate g4 BUF 1\nwire in g1 0 1\nwire g4 g1 1 2\n"
+                 "wire g1 g2 0 0\nwire g2 g3 0 0\nwire g3 g4 0 0\nwire g4 out 0 1\n")
+
+
+def _check_cases():
+    from conftest import CORPUS
+    cases = [parse(path.read_text())
+             for path in sorted((CORPUS / "circuits").glob("*.net"))]
+    cases.append(_inverting_ring())
+    rng = random.Random(24)
+    cases += [gennet.random_netlist(rng, max_gates=8, safe_loops=False)
+              for _ in range(60)]
+    return cases
+
+
+def test_one_check_matches_two_step_check():
+    # The C-slowed netlist equals the original, slot by slot, from cycle 0,
+    # so checking the final netlist against the original on the final's
+    # clock must give the verdict and mismatch of the two-step check
+    # (original against slowed, then slowed against final).
+    failed = 0
+    for i, net in enumerate(_check_cases()):
+        for c in (1, 2, 3):
+            slowed = cslow_transform(net, c)
+            final = min_period_retime(slowed).netlist
+            warmup = flush_warmup(slowed, final)
+            one = check_equivalence(net, final, trials=16, warmup=warmup, seed=i,
+                                    factor=c)
+            assert check_cslow_equivalence(net, slowed, c, trials=16, seed=i).passed
+            two = check_equivalence(slowed, final, trials=16, warmup=warmup, seed=i)
+            assert (one.passed, one.mismatch) == (two.passed, two.mismatch), (i, c)
+            assert (one.warmup, one.cycles) == (two.warmup, two.cycles)
+            failed += not one.passed
+    assert failed  # inverting gates in loops: the comparison is not vacuous
+
+
+def test_one_check_matches_reference_simulator():
+    # One lane, simulated by the reference simulator: b on the drawn streams,
+    # and a once per slot on every factor-th value of them.
+    for i, net in enumerate(_check_cases()):
+        for c in (1, 2, 3):
+            final = min_period_retime(cslow_transform(net, c)).netlist
+            warmup, cycles = 3, 40
+            report = check_equivalence(net, final, trials=1, cycles=cycles,
+                                       warmup=warmup, seed=i, factor=c)
+            getrandbits = random.Random(i).getrandbits
+            streams = {name: [getrandbits(1) for _ in range(cycles)]
+                       for name in net.inputs()}
+            got = refnet.simulate_lane(final, streams, cycles)
+            slots = [refnet.simulate_lane(
+                net, {name: s[j::c] for name, s in streams.items()},
+                len(range(j, cycles, c))) for j in range(c)]
+            mismatch = next(((name, t) for name in net.outputs()
+                             for t in range(warmup, cycles)
+                             if got[name][t] != slots[t % c][name][t // c]), None)
+            assert report.mismatch == mismatch, (i, c)
+            assert report.passed == (mismatch is None)
+
+
+def _shuffled(net, rng, extra_wire):
+    """`net` (with an extra register-free input -> output wire if asked) as
+    declared, and with its nodes and wires declared in a random order."""
+    nodes, edges = list(net.nodes.values()), list(net.edges)
+    if extra_wire:
+        nodes.append(Node("outx", NodeKind.OUTPUT))
+        edges.append(Edge(rng.choice(net.inputs()), "outx", 0, 0))
+    declared = Netlist(nodes, edges)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return declared, Netlist(nodes, edges)
+
+
+def test_lags_do_not_depend_on_declaration_order():
+    # The host tie once raised an input twice in one pass when an output
+    # that reads it through a register-free wire came first, and the
+    # retiming then moved the input's lag.
+    for seed in range(600):
+        rng = random.Random(seed)
+        net = gennet.random_netlist(rng, max_gates=10, safe_loops=False)
+        declared, shuffled = _shuffled(net, rng, seed % 2)
+        c = 1 + seed % 3
+        want = min_period_retime(cslow_transform(declared, c))
+        got = min_period_retime(cslow_transform(shuffled, c))
+        assert (got.period, got.lag) == (want.period, want.lag), seed
 
 
 def test_optimality_small_graphs_against_brute_force():
