@@ -27,6 +27,7 @@ deque that takes one append.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain, islice
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -323,8 +324,13 @@ def critical_path(netlist: Netlist) -> CriticalPath:
     return CriticalPath(arrival[best_name], path)
 
 
+# The gates that map all-zero inputs to 1.  Each XORs with its own live
+# mask, a local that is `mask` except where `simulate` is given one.
+INVERTING = frozenset({NodeKind.NOT, NodeKind.NAND, NodeKind.NOR, NodeKind.CONST1})
+
 # One expression per node kind.  Every value stays inside `mask`, so the
-# inverting gates are an XOR with it.  INPUT's operand is its own stream.
+# inverting gates are an XOR with their live mask, the last operand.
+# INPUT's operand is its own stream.
 _EXPR = {
     NodeKind.INPUT: "%s[t] & mask",
     NodeKind.OUTPUT: "%s",
@@ -332,11 +338,11 @@ _EXPR = {
     NodeKind.AND: "%s & %s",
     NodeKind.OR: "%s | %s",
     NodeKind.XOR: "%s ^ %s",
-    NodeKind.NAND: "(%s & %s) ^ mask",
-    NodeKind.NOR: "(%s | %s) ^ mask",
-    NodeKind.NOT: "%s ^ mask",
+    NodeKind.NAND: "(%s & %s) ^ %s",
+    NodeKind.NOR: "(%s | %s) ^ %s",
+    NodeKind.NOT: "%s ^ %s",
     NodeKind.CONST0: "0",
-    NodeKind.CONST1: "mask",
+    NodeKind.CONST1: "%s",
 }
 
 
@@ -349,9 +355,10 @@ LOCAL_DEPTH = 12
 
 
 def _compile(netlist):
-    """Source of `run(cycles, mask, *input streams)`, which simulates
+    """Source of `run(cycles, mask, n, live, *input streams)`, which simulates
     `netlist` and returns one output stream per `netlist.outputs()` name,
-    in that order; also the input names in parameter order.
+    in that order; also the input names in parameter order, and the
+    inverting gates' names in the order of the tuples `live` yields.
 
     Node i (in zero-weight topological order) is the local `v<i>`, and its
     stream `s<i>` if it is an input or an output; an output appends through
@@ -359,8 +366,13 @@ def _compile(netlist):
     registers keeps its last d values in `r<i>_1`..`r<i>_d`, shifted each
     cycle, when d is at most `LOCAL_DEPTH`, and in the bounded deque `q<i>`
     otherwise.  The `r<i>_k` are keyword-only parameters that start at 0:
-    a default costs less to compile than a statement per local.  No netlist string reaches the source: identifiers are built
-    from indices alone.
+    a default costs less to compile than a statement per local.  An
+    inverting gate XORs with its live mask `m<i>`, which starts as `mask`;
+    in each of the cycles 0..n the next tuple from the iterator `live`
+    replaces them all, and past those the loop body is what it would be
+    without them but for one comparison.
+    No netlist string reaches the source: identifiers are built from
+    indices alone.
     """
     order = netlist.order
     index = {name: i for i, name in enumerate(order)}
@@ -382,12 +394,19 @@ def _compile(netlist):
     inputs = [name for name in order if netlist.nodes[name].kind is NodeKind.INPUT]
     outputs = [index[name] for name in netlist.outputs()]
 
-    start, step, zeros = [], [], []
+    start, step, zeros, gated = [], [], [], []
     for i, name in enumerate(order):
         kind = netlist.nodes[name].kind
         args = (("s%d" % i,) if kind is NodeKind.INPUT else
                 tuple(fanin[(name, p)] for p in range(ARITY[kind])))
+        if kind in INVERTING:
+            args += ("m%d" % i,)
+            gated.append(i)
         step.append("v%d = %s" % (i, _EXPR[kind] % args))
+    if gated:
+        masks = ["m%d" % i for i in gated]
+        start.append("%s = mask" % " = ".join(masks))
+        step.insert(0, "if t <= n: %s, = next(live)" % ", ".join(masks))
     step += ["a%d(v%d)" % (i, i) for i in outputs]
     for i, d in depth.items():
         if d <= LOCAL_DEPTH:
@@ -400,7 +419,7 @@ def _compile(netlist):
     for i in outputs:
         start += ["s%d = []" % i, "a%d = s%d.append" % (i, i)]
 
-    params = ["cycles", "mask"] + ["s%d" % index[name] for name in inputs]
+    params = ["cycles", "mask", "n", "live"] + ["s%d" % index[name] for name in inputs]
     if zeros:  # keyword-only, so every call leaves them at their default
         params += ["*"] + zeros
     lines = ["def run(%s):" % ", ".join(params)]
@@ -408,10 +427,11 @@ def _compile(netlist):
     lines.append("    for t in range(cycles):")
     lines += ["        " + line for line in step or ["pass"]]
     lines.append("    return [%s]" % ", ".join("s%d" % i for i in outputs))
-    return "\n".join(lines) + "\n", inputs
+    return "\n".join(lines) + "\n", inputs, [order[i] for i in gated]
 
 
-def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dict:
+def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
+             live: tuple | None = None) -> dict:
     """Clocked simulation for `cycles` cycles; returns output streams.
 
     `inputs` maps every input name to a sequence of at least `cycles`
@@ -420,6 +440,15 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dic
     whose bit k belongs to lane k), which all gate functions respect.
     Registers start at 0; outputs are sampled after combinational settling
     each cycle, then every register pipeline shifts.
+
+    `live`, if given, is a pair (n, masks): `masks` maps every NOT, NAND,
+    NOR and CONST1 node to an iterable of at least n lane masks, its live
+    lanes in each of the first n cycles.  In those cycles such a gate XORs
+    with its live mask where it otherwise XORs with all lanes (CONST1 is
+    its mask), so in a lane outside the mask whose inputs are 0 the gate
+    reads 0, as though it had not started yet.  From cycle n on every lane
+    is live.  The masks are read a cycle at a time, so lazy iterables keep
+    memory to one mask per gate however long the start-up.
 
     The first call on a netlist compiles it into one Python function whose
     loop body is straight-line code for a cycle (see `_compile`): one
@@ -439,13 +468,18 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1) -> dic
             raise ValueError("input stream '%s' shorter than %d cycles" % (name, cycles))
 
     if netlist._simulator is None:
-        source, order = _compile(netlist)
+        source, order, gated = _compile(netlist)
         namespace = {"deque": deque}
         exec(compile(source, "<netlist>", "exec"), namespace)
         # Popped, not read: the function keeps `namespace` as its globals,
         # and leaving it there too would be a reference cycle only the GC
         # frees.
-        netlist._simulator = namespace.pop("run"), order
-    run, order = netlist._simulator
-    streams = run(cycles, (1 << lanes) - 1, *(inputs[name] for name in order))
+        netlist._simulator = namespace.pop("run"), order, gated
+    run, order, gated = netlist._simulator
+    mask = (1 << lanes) - 1
+    n, rows = -1, None
+    if live:  # n tuples of masks, then one that sets them all back to `mask`
+        n, masks = live
+        rows = chain(islice(zip(*(masks[name] for name in gated)), n), [(mask,) * len(gated)])
+    streams = run(cycles, mask, n, rows, *(inputs[name] for name in order))
     return dict(zip(netlist.outputs(), streams))

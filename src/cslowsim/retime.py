@@ -32,23 +32,39 @@ It works on s = -r and probes one period c at a time:
     constraint cycle (as in Bellman-Ford's parent-graph check).  Since
     the least s is below |V|, `max(s) >= |V|` is only a backstop.
 
-The search is binary over integer periods from the largest gate delay up;
-each feasible probe's s starts the smaller ones, whose least s is larger.
+The search probes the largest gate delay first, a bound C-slowed netlists
+often meet, then is binary over the integer periods above it; each
+feasible probe's s starts the smaller ones, whose least s is larger.
 `min_period_retime` returns the lags as a dict {node name: lag} of the
 nonzero ones, the period, and the retimed netlist, checked to meet it.
 
-Equivalence is checked by one bit-parallel simulation of each circuit
-(`check_equivalence`), on `cycles` random values per input drawn on b's
-clock.  With a slow-down `factor`, a is the circuit before C-slow: b's
-cycles j, j + factor, ... are a's slot j, and a runs all slots side by
-side, slot j in lanes j * trials onwards.  b at cycle t must match a at
-t - `shift` (pipelining latency), from cycle `warmup + shift` on.  C-slow
-is exact from cycle 0, since every register starts at 0, so a retimed
-C-slowed netlist is checked against the original itself.  Retiming moves
-registers across logic and may disagree with its source during a start-up
-transient, so the check waits out `flush_warmup` of the C-slowed and the
-retimed circuit.  `check_cslow_equivalence` checks C-slow alone, from
-cycle 0.
+Equivalence (`check_equivalence`) is checked on `cycles` random values per
+input, drawn on b's clock.  With a slow-down `factor`, a is the circuit
+before C-slow: b's cycles j, j + factor, ... are a's slot j, and a runs all
+slots side by side, slot j in lanes j * trials onwards.  b at cycle t must
+match a at t - `shift` (pipelining latency), from cycle `warmup + shift`
+on.  C-slow is exact from cycle 0, since every register starts at 0, so a
+retimed C-slowed netlist is checked against the original itself; retiming
+may disagree with its source during a start-up transient, which the CLI
+waits out (`flush_warmup`).  `check_cslow_equivalence` checks C-slow alone.
+
+Without a shift, a b that is apply_retiming(cslow_transform(a, factor), r)
+is never compiled: `recover_lags` finds r (0 on io nodes) from the wire
+weights, and b runs inside a's simulation (`simulate_lag_shifted`).
+Retiming only shifts each node's phase: b's node v at cycle t is
+Z_v(t + start(v)), start = -r, where Z follows the C-slowed a's recurrence
+except that Z_v(tau) is 0 for tau < start(v), the cycles before b started,
+which its zero registers stand for.  Slot time T * factor + j is lane
+block j of a's step T, so b's threads take lanes [W, 2W), W = factor *
+trials, beside a's own in [0, W).  A legal retiming has start(u) + factor
+* w >= start(v) on every wire, so before its start a node reads only nodes
+that have not started; only the gates that map zeros to 1 (NOT, NAND,
+NOR, CONST1) must be held at 0 there, and `simulate`'s live masks do that.
+The run starts at the step of the earliest such start (at most 0) with
+zero inputs, a's half with start 0 everywhere.  From step
+ceil(max start / factor) on every mask is `mask`.  The lanes are b's
+values exactly, so every verdict and mismatch is the direct run's; any
+other b is simulated on its own.
 """
 
 from __future__ import annotations
@@ -56,10 +72,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import and_, lshift, or_, rshift
+from itertools import chain, repeat
+from operator import and_, lshift, or_, rshift, xor
 
-from .netlist import Netlist, NodeKind, critical_path, simulate, topological_order
+from .netlist import (INVERTING, Netlist, NodeKind, critical_path, simulate,
+                      topological_order)
 
 
 class BadC(Exception):
@@ -196,13 +213,14 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     period = critical_path(netlist).period
     s = [0] * len(index)
     lo, hi = max(delay), period - 1
+    mid = lo  # the lower bound first: a C-slowed netlist often meets it
     while lo <= hi:
-        mid = (lo + hi) // 2
         sol = _feas(delay, edges, hosts, mid, s)
         if sol is None:
             lo = mid + 1
         else:
             period, s, hi = mid, sol, mid - 1
+        mid = (lo + hi) // 2
 
     base = s[hosts[0]] if hosts else 0
     lag = {name: base - s[pos[name]] for name in index if s[pos[name]] != base}
@@ -291,32 +309,107 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
     getrandbits = random.Random(seed).getrandbits
     streams = {name: list(map(getrandbits, repeat(trials, cycles)))
                for name in a.inputs()}
-    # a sees slot j = b's cycles j, j+factor, ... in lanes j*trials onwards.
     steps = -(-cycles // factor)
-    pad = [0] * (steps * factor - cycles)
-    packed = {}
-    for name, stream in streams.items():
-        stream = stream + pad
-        column = stream[::factor]
-        for j in range(1, factor):
-            column = list(map(or_, column,
-                              map(lshift, stream[j::factor], repeat(j * trials))))
-        packed[name] = column
-    outs_a = simulate(a, packed, steps, lanes=factor * trials)
-    outs_b = simulate(b, streams, cycles, lanes=trials)
-    mask = repeat((1 << trials) - 1)
+    slots = {name: _slots(stream, factor, trials, steps)
+             for name, stream in streams.items()}
+    lag = None if shift else recover_lags(a, b, factor)
+    if lag is None:
+        outs = simulate(a, slots, steps, lanes=factor * trials)
+        outs_b = simulate(b, streams, cycles, lanes=trials)
+        pairs = {name: (outs[name], _slots(outs_b[name][shift:], factor, trials, steps))
+                 for name in a.outputs()}
+    else:  # b's threads are each column's lanes past a's slots
+        outs = simulate_lag_shifted(a, lag, factor, trials, slots, steps)
+        pairs = {name: (column, list(map(rshift, column, repeat(factor * trials))))
+                 for name, column in outs.items()}
     for name in a.outputs():
-        column = outs_a[name]
-        want = [0] * (steps * factor)  # a's outputs on b's clock
-        for j in range(factor):
-            want[j::factor] = map(and_, map(rshift, column, repeat(j * trials)), mask)
-        want = want[warmup:cycles - shift]
-        got = outs_b[name][start:]
-        if got != want:
-            t = start + next(t for t, (g, w) in enumerate(zip(got, want)) if g != w)
+        t = _first_difference(*pairs[name], warmup, cycles - shift, factor, trials)
+        if t is not None:
             return EquivalenceReport(False, warmup, trials, cycles, shift,
-                                     mismatch=(name, t))
+                                     mismatch=(name, t + shift))
     return EquivalenceReport(True, warmup, trials, cycles, shift)
+
+
+def _slots(stream, factor, trials, steps):
+    """`stream`'s values j, j + factor, ... (zeros past its end) in lanes
+    j * trials onwards: `steps` values, one a step."""
+    stream = stream + [0] * (steps * factor - len(stream))
+    column = stream[::factor]
+    for j in range(1, factor):
+        column = list(map(or_, column, map(lshift, stream[j::factor], repeat(j * trials))))
+    return column
+
+
+def _first_difference(want, got, lo, hi, factor, trials):
+    """The first time in [lo, hi) whose lanes differ between the slot
+    columns `want` and `got` (lanes past factor * trials ignored), or None."""
+    first, last = lo // factor, (hi - 1) // factor
+    diff = list(map(and_, map(xor, want[first:last + 1], got[first:last + 1]),
+                    repeat((1 << factor * trials) - 1)))
+    diff[0] &= -1 << (lo - first * factor) * trials
+    diff[-1] &= (1 << (hi - last * factor) * trials) - 1
+    for step, d in enumerate(diff, first):
+        if d:
+            return step * factor + ((d & -d).bit_length() - 1) // trials
+    return None
+
+
+def recover_lags(a: Netlist, b: Netlist, factor: int) -> dict | None:
+    """The lags r with b == apply_retiming(cslow_transform(a, factor), r),
+    io lags 0, or None when b is no such retiming of a."""
+    if a.nodes != b.nodes or len(a.edges) != len(b.edges):
+        return None
+    near = {name: [] for name in a.nodes}
+    for ea, eb in zip(a.edges, b.edges):
+        if ea[:3] != eb[:3]:
+            return None
+        d = eb.weight - factor * ea.weight  # r(dst) - r(src)
+        near[ea.src].append((ea.dst, d))
+        near[ea.dst].append((ea.src, -d))
+    hosts = _host_names(a)
+    lag = {}
+    for root in hosts + list(a.nodes):  # one walk per undirected component
+        if root in lag:
+            continue
+        lag[root] = 0
+        todo = [root]
+        while todo:
+            u = todo.pop()
+            for v, d in near[u]:
+                if v not in lag:
+                    lag[v] = lag[u] + d
+                    todo.append(v)
+                elif lag[v] != lag[u] + d:
+                    return None
+    return None if any(lag[h] for h in hosts) else lag
+
+
+def simulate_lag_shifted(a: Netlist, lag: dict, factor: int, trials: int,
+                         slots: dict, steps: int) -> dict:
+    """a's output slot columns, `steps` values each, from one simulation of
+    a in lanes [0, W), W = factor * trials, with those of b =
+    apply_retiming(cslow_transform(a, factor), lag) in lanes [W, 2W) as b's
+    lag-shifted threads; see the module docstring.  `slots` holds a's input
+    columns (see `_slots`).
+    """
+    width = factor * trials
+    half = (1 << width) - 1
+    # Lanes of the blocks j >= k: block j of step T is slot time T*factor + j.
+    tails = [half >> k * trials << k * trials for k in range(factor)]
+    start = {name: -lag[name] for name, n in a.nodes.items() if n.kind in INVERTING}
+    first = min([0, *start.values()]) // factor
+    end = min(steps, max([0, *(-(-s // factor) for s in start.values())]))
+    # a's half starts at step 0, b's at each gate's own start s: its blocks
+    # are dead before step s // factor, live after it, and in it from block
+    # s % factor on.  Lazy, so memory does not grow with the start-up.
+    live = {name: map(or_, chain(repeat(0, -first), repeat(half)),
+                      chain(repeat(0, s // factor - first), [tails[s % factor] << width],
+                            repeat(half << width)))
+            for name, s in start.items()}
+    inputs = {name: [0] * -first + list(map(or_, column, map(lshift, column, repeat(width))))
+              for name, column in slots.items()}  # a's input column in both halves
+    outs = simulate(a, inputs, steps - first, lanes=2 * width, live=(end - first, live))
+    return {name: column[-first:] for name, column in outs.items()}
 
 
 def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,

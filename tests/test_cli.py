@@ -505,29 +505,39 @@ def test_retime_output_declared_before_its_input(tmp_path, capsys):
 @pytest.mark.parametrize("circuit, flags", [
     ("ring", ["--cslow", "3"]), ("chain", ["--pipeline", "2"]), ("random86", [])])
 def test_retime_check_simulates_original_and_final(capsys, monkeypatch, circuit, flags):
-    # One check per run: the final netlist against the original itself, so
-    # exactly two netlists are simulated and the C-slowed one is not.
+    # One check per run, the final netlist against the original itself.  A
+    # retiming of the C-slowed original runs in the original's own lanes,
+    # so only the original is simulated and the final one never compiled;
+    # a pipeline, shifted, simulates both.
     from conftest import CORPUS
     from cslowsim import netlist, retime
     path = CORPUS / "circuits" / (circuit + ".net")
-    simulated = []
-    real = retime.simulate
+    simulated, checked = [], []
+    real_simulate, real_check = retime.simulate, retime.check_equivalence
 
     def counting(net, *args, **kwargs):
         simulated.append(net)
-        return real(net, *args, **kwargs)
+        return real_simulate(net, *args, **kwargs)
+
+    def recording(a, b, *args, **kwargs):
+        checked.append(b)
+        return real_check(a, b, *args, **kwargs)
 
     monkeypatch.setattr(retime, "simulate", counting)
+    monkeypatch.setattr(retime, "check_equivalence", recording)
     code, stdout, _ = run_cli(capsys, ["retime", str(path), *flags, "--check", "10"])
     assert code == 0 and json.loads(stdout)["equivalence"] == "PASS"
     original = netlist.parse(path.read_text())
     if "--pipeline" in flags:
         final = retime.pipeline(original, 2)
+        assert simulated == [original, final]
     else:
         slowed = retime.cslow_transform(original, 3 if flags else 1)
         final = retime.min_period_retime(slowed).netlist
         assert final != slowed
-    assert simulated == [original, final]
+        assert simulated == [original]
+        assert checked[0]._simulator is None
+    assert checked == [final]
 
 
 @pytest.mark.parametrize("argv, option", [

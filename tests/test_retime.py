@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import gennet
 import refnet
 import refretime
-from cslowsim.netlist import (Edge, Netlist, Node, NodeKind, critical_path, parse,
-                              simulate)
+from cslowsim import retime
+from cslowsim.netlist import (GATE_KINDS, INVERTING, LOCAL_DEPTH, Edge, Netlist, Node,
+                              NodeKind, critical_path, parse, simulate)
 from cslowsim.retime import (
     REFERENCE_SLICE_REGISTERS,
     BadC,
@@ -24,7 +25,9 @@ from cslowsim.retime import (
     flush_warmup,
     min_period_retime,
     pipeline,
+    recover_lags,
     retimed_weights,
+    simulate_lag_shifted,
 )
 
 
@@ -409,3 +412,128 @@ def test_min_period_retime_matches_oracle_past_infeasible_probes(ring_net_text):
     for net in cases:
         result = _oracle_matches(net)
         assert result.period > max(n.delay for n in net.nodes.values())
+
+
+def test_recover_lags_only_of_a_retiming(ring_net_text, chain_net_text):
+    ring = parse(ring_net_text)
+    retimed = apply_retiming(cslow_transform(ring, 2), {"g2": -1})
+    assert recover_lags(ring, retimed, 2) == dict.fromkeys(ring.nodes, 0) | {"g2": -1}
+    # A register added to the loop is no retiming: the two netlists are
+    # simulated apart, and differ.
+    extra = ring.with_weights([e.weight + (e.src == "g1") for e in ring.edges])
+    assert recover_lags(ring, extra, 1) is None
+    assert not check_equivalence(ring, extra, trials=8, cycles=32, warmup=0).passed
+    # A pipeline moves the io nodes' phase, which a retiming keeps.
+    chain = parse(chain_net_text)
+    assert recover_lags(chain, pipeline(chain, 1), 1) is None
+    assert recover_lags(chain, chain, 1) == dict.fromkeys(chain.nodes, 0)
+
+
+def _random_lags(net, c, rng, bound, pin_inverting):
+    """Random legal lags of cslow_transform(net, c) in [-bound, bound], io
+    lags 0 (and inverting gates' too if `pin_inverting`).  Each move keeps
+    the gate inside the interval its neighbours' lags allow, so the lags
+    stay legal throughout."""
+    slowed = cslow_transform(net, c)
+    movable = [n.name for n in net.nodes.values() if n.kind in GATE_KINDS
+               and not (pin_inverting and n.kind in INVERTING)]
+    lag = dict.fromkeys(net.nodes, 0)
+    for _ in range(4):
+        rng.shuffle(movable)
+        for v in movable:
+            lo, hi = -bound, bound
+            for e in slowed.edges:
+                if e.src != e.dst and e.dst == v:
+                    lo = max(lo, lag[e.src] - e.weight)
+                if e.src != e.dst and e.src == v:
+                    hi = min(hi, lag[e.dst] + e.weight)
+            lag[v] = rng.randint(lo, hi)
+    return {name: r for name, r in lag.items() if r}
+
+
+def _deepened(net, rng):
+    """`net` with a wire past `LOCAL_DEPTH` from an input, deeper output
+    wires, and CONST1 -> NAND -> output beside it, so lags can reach
+    past 10 either way."""
+    first_in = True
+    edges = []
+    for e in net.edges:
+        w = e.weight
+        if e.src in net.inputs() and first_in:
+            w, first_in = LOCAL_DEPTH + rng.randint(1, 4), False
+        elif net.nodes[e.dst].kind is NodeKind.OUTPUT:
+            w += rng.randint(0, 12)
+        edges.append(Edge(e.src, e.dst, e.pin, w))
+    nodes = list(net.nodes.values()) + [
+        Node("one", NodeKind.CONST1, 1), Node("k", NodeKind.NAND, 1),
+        Node("outk", NodeKind.OUTPUT)]
+    edges += [Edge("one", "k", 0, rng.randint(0, 3)),
+              Edge(rng.choice(net.gates()), "k", 1, rng.randint(0, 3)),
+              Edge("k", "outk", 0, rng.randint(0, 12))]
+    return Netlist(nodes, edges)
+
+
+def _lag_cases():
+    """(a, c, b, cycles, pinned) over min-period retimings of `gennet`
+    netlists and random legal lags; `pinned` when the lags leave every
+    inverting gate at 0."""
+    rng = random.Random(26)
+    for i in range(120):
+        c = 1 + i % 6
+        net = gennet.random_netlist(rng, max_gates=6, safe_loops=bool(i % 2))
+        b = min_period_retime(cslow_transform(net, c)).netlist
+        yield net, c, b, rng.randint(1, 40), False
+        deep = _deepened(net, rng)
+        pin = i % 3 == 0
+        lag = _random_lags(deep, c, rng, 15, pin)
+        yield deep, c, apply_retiming(cslow_transform(deep, c), lag), rng.randint(1, 60), pin
+
+
+def test_lag_shifted_lanes_are_the_retimed_netlist(monkeypatch):
+    # b runs as lag-shifted threads in a's lanes: its lanes must equal b's own
+    # simulation and the reference simulator cycle for cycle, and the check
+    # must give the direct two-netlist check's verdict and mismatch.
+    trials = 2
+    failed = passed = short = moved = 0
+    starts, const1 = set(), set()
+    for i, (a, c, b, cycles, pinned) in enumerate(_lag_cases()):
+        lag = recover_lags(a, b, c)
+        assert apply_retiming(cslow_transform(a, c), lag) == b, i
+        start = [-lag[n] for n, node in a.nodes.items() if node.kind in INVERTING]
+        starts.update(start)
+        const1.add(lag.get("one", 0))
+        steps = -(-cycles // c)
+        short += steps < -(-max([0, *start]) // c) - min([0, *start]) // c
+        rng = random.Random(i)
+        streams = {name: [rng.getrandbits(trials) for _ in range(cycles)]
+                   for name in a.inputs()}
+        slots = {name: [sum(s[t] << (t % c) * trials for t in range(T * c, min(T * c + c, cycles)))
+                        for T in range(steps)] for name, s in streams.items()}
+        cols = simulate_lag_shifted(a, lag, c, trials, slots, steps)
+        outs_a = simulate(a, slots, steps, lanes=c * trials)
+        outs_b = simulate(b, streams, cycles, lanes=trials)
+        lane0 = {name: [v & 1 for v in s] for name, s in streams.items()}
+        ref = refnet.simulate_lane(b, lane0, cycles)
+        for name in a.outputs():
+            col_a = [v & (1 << c * trials) - 1 for v in cols[name]]
+            col_b = [v >> c * trials for v in cols[name]]
+            assert col_a == outs_a[name], (i, name)
+            got = [col_b[t // c] >> (t % c) * trials & (1 << trials) - 1
+                   for t in range(cycles)]
+            assert got == outs_b[name], (i, name)
+            assert [v & 1 for v in got] == ref[name], (i, name)
+            if pinned:  # only zero-preserving gates moved: equal from cycle 0
+                assert col_b == col_a, (i, name)
+        warmup = rng.randrange(cycles)
+        report = check_equivalence(a, b, trials, cycles, warmup, seed=i, factor=c)
+        with monkeypatch.context() as m:
+            m.setattr(retime, "recover_lags", lambda *args: None)
+            direct = check_equivalence(a, b, trials, cycles, warmup, seed=i, factor=c)
+        assert (report.passed, report.mismatch) == (direct.passed, direct.mismatch), i
+        assert report.passed or not pinned
+        moved += pinned and any(lag.values())
+        failed += not report.passed
+        passed += report.passed
+    assert failed and passed and short and moved  # no part of it vacuous
+    assert min(starts) <= -10 and max(starts) >= 10  # inverting gates either way
+    assert min(const1) < 0 < max(const1)
