@@ -5,6 +5,12 @@ JSON; all of it is byte-reproducible for fixed inputs and seed.  The
 default seed is 0, overridable with the CSLOW_SEED environment variable or
 a --seed flag.
 
+Every file a command writes (the `asm` image, the `bench --json` report,
+the `--trace` files) goes through `microcode.overwrite`: an existing file
+is written in place and cut to its new length, which ends the same as
+truncating it first, minus the writeback ext4 starts when a file truncated
+to zero is closed.
+
 Exit codes: 0 success, 1 input or usage error (bad arguments included),
 2 simulation cycle limit exceeded, 3 internal invariant violation
 (including a failed equivalence check, which a correct transformation
@@ -59,7 +65,7 @@ def cmd_asm(args) -> int:
     with open(args.source) as fh:
         text = fh.read()
     assembly = isa.assemble_program(text, origin=args.origin)
-    with open(args.out, "w") as fh:
+    with microcode.overwrite(args.out, "w") as fh:
         fh.write(assembly.image.to_text())
     for entry in assembly.listing:
         addr = "    " if entry.address is None else "%02x: " % entry.address
@@ -143,7 +149,7 @@ def cmd_bench(args) -> int:
                  float(result.speedup)))
     report = {"mode": mode.value, "seed": args.seed, "rows": rows}
     if args.json:
-        with open(args.json, "w") as fh:
+        with microcode.overwrite(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
@@ -154,16 +160,19 @@ def cmd_retime(args) -> int:
         raise ValueError("--cslow and --pipeline are mutually exclusive")
     with open(args.netlist) as fh:
         original = netlist.parse(fh.read())
-    period_before = netlist.critical_path(original).period
 
     c_factor = 1 if args.cslow is None else args.cslow
     if args.pipeline is not None:
+        period_before = netlist.critical_path(original).period
         final = retime.pipeline(original, args.pipeline)
         period_after = netlist.critical_path(final).period
         check = {"shift": args.pipeline}
     else:
         slowed = retime.cslow_transform(original, c_factor)
         result = retime.min_period_retime(slowed)  # checked to meet its period
+        # C-slow multiplies every weight by C >= 1, so the register-free
+        # wires, and with them the period, are the original's.
+        period_before = result.period_before
         final, period_after = result.netlist, result.period
         # C-slow is exact from cycle 0, so only the retiming needs a
         # warm-up; final is checked against the original itself.

@@ -194,8 +194,10 @@ class CslowMachine:
         else:
             total = independent_metrics(self.halt_cycle).fast_cycles_total
             if trace_paths:
-                # Open them all before writing any: a path that cannot be
-                # opened raises with every existing file as it was.
+                # Open them all, creating none but missing ones and
+                # truncating none, before writing any: a path that cannot be
+                # opened raises with every existing file as it was.  Then
+                # `write_trace` writes each in place and cuts its old tail.
                 for path in trace_paths[:c]:
                     open(path, "ab").close()
                 for cells, threads in groups.items():

@@ -133,6 +133,7 @@ class RetimeResult:
     lag: dict  # node name -> nonzero lag
     period: int
     netlist: Netlist  # the input with the lags applied; meets `period`
+    period_before: int  # the input's own period, the identity retiming's
 
 
 def _feas(delay, edges, hosts, c, start):
@@ -203,14 +204,14 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     """A legal retiming of minimum clock period (io lags pinned to 0)."""
     index = list(netlist.nodes)
     if not index:
-        return RetimeResult({}, 0, netlist)
+        return RetimeResult({}, 0, netlist, 0)
     pos = {name: i for i, name in enumerate(index)}
     delay = [netlist.nodes[name].delay for name in index]
     edges = [(pos[e.src], pos[e.dst], e.weight) for e in netlist.edges]
     hosts = [pos[h] for h in _host_names(netlist)]
 
     # The identity retiming meets the current period.
-    period = critical_path(netlist).period
+    period = before = critical_path(netlist).period
     s = [0] * len(index)
     lo, hi = max(delay), period - 1
     mid = lo  # the lower bound first: a C-slowed netlist often meets it
@@ -229,7 +230,7 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     if achieved != period:
         raise AssertionError("retiming achieved period %d, expected %d"
                              % (achieved, period))
-    return RetimeResult(lag, period, retimed)
+    return RetimeResult(lag, period, retimed, before)
 
 
 def pipeline(netlist: Netlist, k: int) -> Netlist:

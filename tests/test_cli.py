@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +228,81 @@ def test_unopenable_trace_path_leaves_existing_traces_untouched(argv, programs, 
     assert [f.read_bytes() for f in files] == [
         b"an earlier run's trace of thread 0\n", b"an earlier run's trace of thread 2\n"]
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _memloop_trace(tmp_path, corpus_programs, capsys):
+    """memloop's image path and its plain-core trace, from `run --trace`."""
+    image = tmp_path / "memloop.hex"
+    assert run_cli(capsys, ["asm", str(corpus_programs[2]), str(image)])[0] == 0
+    base = tmp_path / "base.trc"
+    assert run_cli(capsys, ["run", str(image), "--trace", str(base)])[0] == 0
+    return image, base.read_bytes()
+
+
+def test_trace_overwrites_existing_files(tmp_path, corpus_programs, capsys):
+    # Each file is written in place and cut at the end of its trace: a
+    # longer one loses its tail, a shorter one grows, and a symlink stays a
+    # link whose target holds the trace.
+    image, trace = _memloop_trace(tmp_path, corpus_programs, capsys)
+    files = [tmp_path / ("tp.t%d.trc" % t) for t in range(3)]
+    files[0].write_bytes(b"x" * (2 * len(trace)))
+    files[1].write_bytes(b"one line\n")
+    target = tmp_path / "target.trc"
+    target.write_bytes(b"y" * (len(trace) + 100))
+    files[2].symlink_to(target)
+    code, _, _ = run_cli(capsys, ["run-cslow", str(image), "--mode", "shared", "--c", "3",
+                                  "--trace", str(tmp_path / "tp")])
+    assert code == 0
+    assert [f.read_bytes() for f in files] == [trace] * 3
+    assert files[2].is_symlink() and target.read_bytes() == trace
+
+
+def test_bench_json_and_asm_overwrite_longer_file(tmp_path, corpus_programs, capsys):
+    # Over a longer existing file, each writes the bytes it writes to a
+    # fresh path.
+    programs = list(map(str, corpus_programs))
+    for argv in (["bench", *programs, "--json"], ["asm", programs[0]]):
+        fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+        assert run_cli(capsys, [*argv, str(fresh)])[0] == 0
+        old.write_bytes(b"z" * (3 * fresh.stat().st_size))
+        assert run_cli(capsys, [*argv, str(old)])[0] == 0
+        assert old.read_bytes() == fresh.read_bytes(), argv[0]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull)
+                    or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+                    reason="os.devnull is not a character device")
+def test_trace_to_dev_null(chain_image, capsys):
+    # A device cannot be cut to length, and need not be.
+    code, stdout, _ = run_cli(capsys, ["run", str(chain_image), "--trace", os.devnull])
+    assert code == 0 and json.loads(stdout)["threads"][0]["halted"]
+
+
+def test_output_files_open_without_truncation(tmp_path, corpus_programs, capsys,
+                                              monkeypatch):
+    # Truncating an existing file to zero makes ext4 start its writeback on
+    # closing it, so no output file is opened with O_TRUNC: every one goes
+    # through `os.open` without that flag.
+    image, trace = _memloop_trace(tmp_path, corpus_programs, capsys)
+    outputs = [tmp_path / ("tp.t%d.trc" % t) for t in range(3)]
+    outputs += [tmp_path / "bench.json", tmp_path / "out.hex"]
+    for f in outputs:
+        f.write_bytes(b"an earlier output\n")
+    opened = []
+    def recorded(path, flags, *args, _real=os.open):
+        opened.append((os.fspath(path), flags))
+        return _real(path, flags, *args)
+    monkeypatch.setattr(os, "open", recorded)
+    programs = list(map(str, corpus_programs))
+    for argv in (["run-cslow", str(image), "--mode", "shared", "--c", "3",
+                  "--trace", str(tmp_path / "tp")],
+                 ["bench", *programs, "--json", str(outputs[3])],
+                 ["asm", programs[0], str(outputs[4])]):
+        assert run_cli(capsys, argv)[0] == 0
+    monkeypatch.undo()
+    assert {path for path, _ in opened} >= set(map(str, outputs))
+    assert not [path for path, flags in opened if flags & os.O_TRUNC]
+    assert [f.read_bytes() for f in outputs[:3]] == [trace] * 3
 
 
 def test_run_cslow_three_programs(tmp_path, corpus_programs, capsys):

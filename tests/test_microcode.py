@@ -378,19 +378,31 @@ def test_untraced_advance_matches_rows(cells, tagged, data):
 
 
 class RecordedFile(io.BytesIO):
-    """A file opened for writing that keeps each write's bytes, by path,
-    in `writes`."""
+    """A file opened for writing, as `microcode.overwrite` opens it, that
+    keeps each write's bytes, by path, in `writes`, and the position it is
+    cut at, by path, in `cuts`.  Its `fileno` is `regular_fd`, a regular
+    file's, so `overwrite` cuts it."""
 
     writes = {}
+    cuts = {}
+    regular_fd = None
 
-    def __init__(self, path, mode):
-        assert mode == "wb"
+    def __init__(self, path, mode, opener):
+        assert mode == "wb" and opener is microcode._open_untruncated
         super().__init__()
+        self.path = path
         self.parts = RecordedFile.writes[path] = []
 
     def write(self, data):
         self.parts.append(bytes(data))
-        return len(data)
+        return super().write(data)
+
+    def fileno(self):
+        return RecordedFile.regular_fd
+
+    def truncate(self, size=None):
+        RecordedFile.cuts[self.path] = self.tell() if size is None else size
+        return super().truncate(size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -418,8 +430,10 @@ def test_write_trace_matches_rows(cells, data):
         pads = data.draw(st.lists(st.sampled_from([0, 1, TRACE_CHUNK, TRACE_CHUNK + 1])
                                   | st.integers(0, 40), min_size=1, max_size=3))
         ends = {"t%d" % k: state.cycles + pad for k, pad in enumerate(pads)}
-        RecordedFile.writes = {}
-        with mock.patch.object(microcode, "open", RecordedFile, create=True):
+        RecordedFile.writes, RecordedFile.cuts = {}, {}
+        with open(__file__, "rb") as regular, \
+                mock.patch.object(microcode, "open", RecordedFile, create=True):
+            RecordedFile.regular_fd = regular.fileno()
             write_trace("t0", cells, state, ends)
         assert list(RecordedFile.writes) == list(ends)
         for path, end in ends.items():
@@ -427,3 +441,5 @@ def test_write_trace_matches_rows(cells, data):
             pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, end)]
             assert b"".join(parts).decode() == format_trace(trace + pad)
             assert all(part.count(b"\n") <= TRACE_CHUNK for part in parts)
+            # Written in place, each file is cut at the end of its trace.
+            assert RecordedFile.cuts[path] == len(b"".join(parts))

@@ -399,6 +399,11 @@ def test_min_period_retime_matches_dense_oracle(seed, c, safe_loops, max_gates,
     result = _oracle_matches(slowed)
     assert result.netlist == apply_retiming(slowed, result.lag)
     assert critical_path(result.netlist).period == result.period
+    # C-slow keeps the register-free wires, so `retime` reports the
+    # slowed netlist's own period as the original's.
+    before = critical_path(net).period
+    assert result.period_before == before
+    assert [critical_path(cslow_transform(net, k)).period for k in range(1, 5)] == [before] * 4
 
 
 def test_min_period_retime_matches_oracle_past_infeasible_probes(ring_net_text):
