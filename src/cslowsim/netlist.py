@@ -13,6 +13,15 @@ File format (line-based, `#` comments):
     gate <name> <kind> <delay>
     wire <from> <to> <pin> <weight>
 
+A netlist is indexed once, when `parse` or the constructor builds it: an
+`Index` holds node i (the i-th declared) as its name, kind, delay and arity
+in lists, and wire e as the integers src[e], dst[e] and pin[e]; the weights
+are the netlist's own list.  `with_weights` (C-slow, retiming) shares the
+index and replaces the weights alone.  Validation, the register-free order,
+`critical_path`, the compiled simulator and the retimer walk these arrays,
+and compare kinds by identity; `nodes` and `edges` are views by name, built
+on first use.
+
 Simulation is compiled: the first `simulate` call on a netlist turns it
 into one Python function whose loop body is straight-line code for a cycle,
 nodes in register-free topological order, and keeps that function on the
@@ -27,9 +36,10 @@ deque that takes one append.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 
@@ -42,35 +52,35 @@ class NetlistError(Exception):
 
 
 class NodeKind(Enum):
-    INPUT = "input"
-    OUTPUT = "output"
-    AND = "AND"
-    OR = "OR"
-    NOT = "NOT"
-    XOR = "XOR"
-    NAND = "NAND"
-    NOR = "NOR"
-    BUF = "BUF"
-    CONST0 = "CONST0"
-    CONST1 = "CONST1"
+    """A node's kind: `arity` input pins, and `expr`, its value in the
+    compiled simulator's loop (see `_compile`).  Every value stays inside
+    `mask`, so an `inverting` gate, one that maps all-zero inputs to 1, is
+    an XOR with its live mask, its last operand: a local that is `mask`
+    except where `simulate` is given one.  INPUT's operand is its stream."""
+
+    INPUT = "input", 0, "%s[t] & mask"
+    OUTPUT = "output", 1, "%s"
+    AND = "AND", 2, "%s & %s"
+    OR = "OR", 2, "%s | %s"
+    NOT = "NOT", 1, "%s ^ %s", True
+    XOR = "XOR", 2, "%s ^ %s"
+    NAND = "NAND", 2, "(%s & %s) ^ %s", True
+    NOR = "NOR", 2, "(%s | %s) ^ %s", True
+    BUF = "BUF", 1, "%s"
+    CONST0 = "CONST0", 0, "0"
+    CONST1 = "CONST1", 0, "%s", True
+
+    def __new__(cls, value, arity, expr, inverting=False):
+        kind = object.__new__(cls)
+        kind._value_, kind.arity, kind.expr, kind.inverting = value, arity, expr, inverting
+        return kind
 
 
-GATE_KINDS = frozenset(k for k in NodeKind
-                       if k not in (NodeKind.INPUT, NodeKind.OUTPUT))
-
-ARITY = {
-    NodeKind.INPUT: 0,
-    NodeKind.OUTPUT: 1,
-    NodeKind.AND: 2,
-    NodeKind.OR: 2,
-    NodeKind.XOR: 2,
-    NodeKind.NAND: 2,
-    NodeKind.NOR: 2,
-    NodeKind.NOT: 1,
-    NodeKind.BUF: 1,
-    NodeKind.CONST0: 0,
-    NodeKind.CONST1: 0,
-}
+INPUT, OUTPUT = NodeKind.INPUT, NodeKind.OUTPUT
+GATE_KINDS = frozenset(k for k in NodeKind if k not in (INPUT, OUTPUT))
+INVERTING = frozenset(k for k in NodeKind if k.inverting)
+ARITY = {kind: kind.arity for kind in NodeKind}
+_GATE_WORDS = {kind.value: kind for kind in GATE_KINDS}
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,6 @@ class Node:
     delay: int = 0
 
 
-# A named tuple: `with_weights` builds every edge anew, and a frozen
-# dataclass would set each field through `object.__setattr__`.
 class Edge(NamedTuple):
     src: str
     dst: str
@@ -89,200 +97,240 @@ class Edge(NamedTuple):
     weight: int
 
 
+class Index:
+    """A netlist's structure as integer arrays, shared by every
+    `with_weights` copy.  Node i has names[i], kinds[i], delays[i] and
+    arity[i]; wire e runs from node src[e] to pin pin[e] of node dst[e].
+    into[v] and out[v] are the wires into and out of node v, in wire order;
+    io, inputs and outputs are node indices in node order."""
+
+    __slots__ = ("names", "kinds", "delays", "arity", "src", "dst", "pin",
+                 "into", "out", "io", "inputs", "outputs", "nodes")
+
+    def __eq__(self, other):  # the same nodes and wires, in the same order
+        return self is other or (isinstance(other, Index) and all(
+            getattr(self, f) == getattr(other, f) for f in Index.__slots__[:7]))
+
+
+def _build(names, kinds, delays, wires, lines=None, errors=None):
+    """The index of a netlist, its weights, and its structural violations
+    but negative weights and a combinational cycle (`Netlist._set` adds
+    those).  Raises NetlistError at once on duplicate nodes and `parse`'s
+    syntax errors (`errors`, (line, text) pairs; `lines`, each node's line),
+    in line order, then on wires to unknown nodes."""
+    pos = {name: i for i, name in enumerate(names)}
+    if errors or len(pos) < len(names):
+        errors, seen = errors or [], set()
+        for i, name in enumerate(names):
+            if name in seen:
+                at = lines[i] if lines else 0
+                errors.append((at, ("line %d: " % at if at else "") + "duplicate node '%s'" % name))
+            seen.add(name)
+        raise NetlistError(text for _, text in sorted(errors, key=itemgetter(0)))
+
+    srcs, dsts, pins, weights = map(list, list(zip(*wires)) or [(), (), (), ()])
+    src, dst = list(map(pos.get, srcs)), list(map(pos.get, dsts))
+    if None in src or None in dst:  # reported wire by wire, with negative weights
+        violations = []
+        for s, d, w in zip(srcs, dsts, weights):
+            violations += ["wire references unknown node '%s'" % end
+                           for end in (s, d) if end not in pos]
+            if w < 0:
+                violations.append("wire %s->%s has negative weight" % (s, d))
+        raise NetlistError(violations)
+
+    ix = object.__new__(Index)
+    ix.names, ix.kinds, ix.delays, ix.src, ix.dst, ix.pin = names, kinds, delays, src, dst, pins
+    ix.arity = arity = [k.arity for k in kinds]
+    ix.into, ix.out = [[] for _ in names], [[] for _ in names]
+    for e, (s, d) in enumerate(zip(src, dst)):
+        ix.out[s].append(e)
+        ix.into[d].append(e)
+    ix.inputs = [i for i, k in enumerate(kinds) if k is INPUT]
+    ix.outputs = [i for i, k in enumerate(kinds) if k is OUTPUT]
+    ix.io = [i for i, k in enumerate(kinds) if k is INPUT or k is OUTPUT]
+    ix.nodes = None
+
+    # Pin p of node v is slot base[v] + p; fed_by[slot] is the wire into it.
+    violations = []
+    base = list(accumulate(arity, initial=0))
+    fed_by = [-1] * base[-1]
+    for e, (d, p) in enumerate(zip(dst, pins)):
+        if not 0 <= p < arity[d]:
+            violations.append("node '%s' (%s) has no pin %d for wire from '%s'"
+                              % (names[d], kinds[d].value, p, names[src[e]]))
+            continue
+        if fed_by[base[d] + p] >= 0:
+            violations.append("pin %d of '%s' driven twice" % (p, names[d]))
+        fed_by[base[d] + p] = e
+    if min(delays, default=0) < 0 or -1 in fed_by or any(delays[i] for i in ix.io):
+        for i, name in enumerate(names):
+            if delays[i] < 0:
+                violations.append("node '%s' has negative delay" % name)
+            if (kinds[i] is INPUT or kinds[i] is OUTPUT) and delays[i] != 0:
+                violations.append("io node '%s' must have delay 0" % name)
+            violations += ["pin %d of '%s' is undriven" % (p, name)
+                           for p in range(arity[i]) if fed_by[base[i] + p] < 0]
+    return ix, weights, violations
+
+
 class Netlist:
     """Immutable-by-convention gate graph; construction validates."""
 
     def __init__(self, nodes, edges):
-        self.nodes = {n.name: n for n in nodes}
-        self._set_edges(edges, validate)
+        nodes = list(nodes)
+        self._set(*_build([n.name for n in nodes], [n.kind for n in nodes],
+                          [n.delay for n in nodes], edges))
 
-    def _set_edges(self, edges, check):
-        self.edges = tuple(edges)
-        # Node names in register-free topological order, for the walks of
-        # `critical_path` and the compiled simulator.
-        violations, self.order = check(self.nodes, self.edges)
+    def _set(self, index, weights, violations=(), parent=None):
+        if min(weights, default=0) < 0:
+            raise NetlistError("wire %s->%s has negative weight"
+                               % (index.names[s], index.names[d])
+                               for s, d, w in zip(index.src, index.dst, weights) if w < 0)
+        if parent is not None and list(map(not_, weights)) == list(map(not_, parent.weights)):
+            order = parent._order  # the same register-free wires
+        else:
+            order = register_free_order(index, weights)
+            if len(order) < len(index.names):
+                violations = [*violations, _cycle(index, weights, order)]
         if violations:
             raise NetlistError(violations)
+        self.index, self.weights = index, weights
+        self._order = order  # node indices in register-free topological order
+        self._edges = None
         self._simulator = None  # `simulate`'s compiled function, built once
 
+    @property
+    def nodes(self):
+        """{name: Node} in node order, shared with every `with_weights` copy."""
+        ix = self.index
+        if ix.nodes is None:
+            ix.nodes = dict(zip(ix.names, map(Node, ix.names, ix.kinds, ix.delays)))
+        return ix.nodes
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            ix = self.index
+            self._edges = tuple(map(Edge, map(ix.names.__getitem__, ix.src),
+                                    map(ix.names.__getitem__, ix.dst), ix.pin, self.weights))
+        return self._edges
+
+    @property
+    def order(self):
+        """Node names in register-free topological order."""
+        return list(map(self.index.names.__getitem__, self._order))
+
     def inputs(self):
-        return [n.name for n in self.nodes.values() if n.kind is NodeKind.INPUT]
+        return list(map(self.index.names.__getitem__, self.index.inputs))
 
     def outputs(self):
-        return [n.name for n in self.nodes.values() if n.kind is NodeKind.OUTPUT]
+        return list(map(self.index.names.__getitem__, self.index.outputs))
 
     def gates(self):
-        return [n.name for n in self.nodes.values() if n.kind in GATE_KINDS]
+        ix = self.index
+        return [name for name, k in zip(ix.names, ix.kinds) if k is not INPUT and k is not OUTPUT]
 
     @property
     def total_registers(self):
-        return sum(e.weight for e in self.edges)
+        return sum(self.weights)
 
     def with_weights(self, weights) -> "Netlist":
         """Same structure with edge weights replaced (one per edge, in order).
 
-        Only the weights change, so only what depends on them is checked
-        again: no weight may be negative, and no register-free loop may
-        close."""
+        The copy shares this netlist's index; only what depends on the
+        weights is checked again: no weight may be negative, and no
+        register-free loop may close.  When every wire keeps or lacks
+        registers as here, the register-free order is this one's."""
+        weights = list(weights)
+        if len(weights) != len(self.weights):
+            raise ValueError("%d weights for %d wires" % (len(weights), len(self.weights)))
         new = object.__new__(Netlist)
-        new.nodes = self.nodes
-        new._set_edges([Edge(e.src, e.dst, e.pin, w)
-                        for e, w in zip(self.edges, weights, strict=True)], _reweighted)
+        new._set(self.index, weights, parent=self)
         return new
 
     def __eq__(self, other):
         return (isinstance(other, Netlist)
-                and self.nodes == other.nodes and self.edges == other.edges)
+                and self.index == other.index and self.weights == other.weights)
 
     def __repr__(self):
         return "Netlist(%d nodes, %d edges, %d registers)" % (
-            len(self.nodes), len(self.edges), self.total_registers)
+            len(self.index.names), len(self.weights), self.total_registers)
 
 
-def validate(nodes, edges):
-    """All structural violations (empty when the netlist is well formed) and
-    the node names in register-free topological order."""
-    violations = []
-    for e in edges:
-        for end in (e.src, e.dst):
-            if end not in nodes:
-                violations.append("wire references unknown node '%s'" % end)
-        if e.weight < 0:
-            violations.append("wire %s->%s has negative weight" % (e.src, e.dst))
-    if violations:
-        return violations, []
-
-    drivers = {}
-    for e in edges:
-        dst = nodes[e.dst]
-        arity = ARITY[dst.kind]
-        if not 0 <= e.pin < max(arity, 1) or arity == 0:
-            violations.append("node '%s' (%s) has no pin %d for wire from '%s'"
-                              % (e.dst, dst.kind.value, e.pin, e.src))
-            continue
-        key = (e.dst, e.pin)
-        if key in drivers:
-            violations.append("pin %d of '%s' driven twice" % (e.pin, e.dst))
-        drivers[key] = e
-
-    for n in nodes.values():
-        if n.delay < 0:
-            violations.append("node '%s' has negative delay" % n.name)
-        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT) and n.delay != 0:
-            violations.append("io node '%s' must have delay 0" % n.name)
-        for pin in range(ARITY[n.kind]):
-            if (n.name, pin) not in drivers:
-                violations.append("pin %d of '%s' is undriven" % (pin, n.name))
-
-    cycle, order = _register_free_order(nodes, edges)
-    return violations + cycle, order
-
-
-def _reweighted(nodes, edges):
-    """`validate` for the edges of a valid netlist with new weights."""
-    violations = ["wire %s->%s has negative weight" % (e.src, e.dst)
-                  for e in edges if e.weight < 0]
-    if violations:
-        return violations, []
-    return _register_free_order(nodes, edges)
-
-
-def _register_free_order(nodes, edges):
-    """A combinational-cycle violation, if any, and the node names in
-    register-free topological order."""
-    arcs = [(e.src, e.dst) for e in edges if e.weight == 0]
-    order = topological_order(nodes, arcs)
-    if len(order) == len(nodes):
-        return [], order
-    # Each node the order left out has a register-free predecessor among
-    # them, so walking back from one closes a cycle.
-    left = set(nodes).difference(order)
-    pred = {dst: src for src, dst in arcs if src in left}
-    path, at = [], {}
-    name = next(n for n in nodes if n in left)
-    while name not in at:
-        at[name] = len(path)
-        path.append(name)
-        name = pred[name]
-    cycle = path[at[name]:] + [name]
-    return ["combinational cycle: %s" % " -> ".join(reversed(cycle))], order
-
-
-def topological_order(names, arcs) -> list:
-    """`names` in an order where every (src, dst) pair of `arcs` has src
-    first (Kahn's algorithm).  It is short when the arcs close a cycle:
+def register_free_order(index, weights) -> list:
+    """Node indices in an order where every wire of weight 0 has its source
+    first (Kahn's algorithm).  It is short when those wires close a cycle:
     nodes on a cycle, or after one, are left out."""
-    indeg = dict.fromkeys(names, 0)
-    succ = {name: [] for name in names}
-    for src, dst in arcs:
-        indeg[dst] += 1
-        succ[src].append(dst)
-    ready = [name for name, d in indeg.items() if d == 0]
+    dst, out = index.dst, index.out
+    indeg = [0] * len(index.names)
+    for d in compress(dst, map(not_, weights)):
+        indeg[d] += 1
+    ready = [v for v, d in enumerate(indeg) if not d]
     order = []
     while ready:
-        name = ready.pop()
-        order.append(name)
-        for nxt in succ[name]:
-            indeg[nxt] -= 1
-            if not indeg[nxt]:
-                ready.append(nxt)
+        u = ready.pop()
+        order.append(u)
+        for e in out[u]:
+            if not weights[e]:
+                v = dst[e]
+                indeg[v] -= 1
+                if not indeg[v]:
+                    ready.append(v)
     return order
+
+
+def _cycle(index, weights, order):
+    """The violation naming a register-free cycle among the nodes `order`
+    left out: each has a register-free predecessor among them, so walking
+    back from one closes a cycle."""
+    left = set(range(len(index.names))).difference(order)
+    pred = {d: s for s, d, w in zip(index.src, index.dst, weights) if not w and s in left}
+    path, at, v = [], {}, min(left)
+    while v not in at:
+        at[v] = len(path)
+        path.append(v)
+        v = pred[v]
+    cycle = reversed(path[at[v]:] + [v])
+    return "combinational cycle: %s" % " -> ".join(map(index.names.__getitem__, cycle))
 
 
 def parse(text: str) -> Netlist:
     """Parse the netlist file format; raises NetlistError listing every
     syntax and structural violation found."""
-    nodes = []
-    edges = []
-    errors = []
-    seen = set()
-
-    def add_node(name, kind, delay, lineno):
-        if name in seen:
-            errors.append("line %d: duplicate node '%s'" % (lineno, name))
-        else:
-            seen.add(name)
-            nodes.append(Node(name, kind, delay))
-
+    nodes, wires, errors = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        word = fields[0]
+        word, count = fields[0], len(fields)
         try:
-            if word == "input" and len(fields) == 2:
-                add_node(fields[1], NodeKind.INPUT, 0, lineno)
-            elif word == "output" and len(fields) == 2:
-                add_node(fields[1], NodeKind.OUTPUT, 0, lineno)
-            elif word == "gate" and len(fields) == 4:
-                kind = NodeKind(fields[2])
-                if kind not in GATE_KINDS:
-                    raise ValueError(fields[2])
-                add_node(fields[1], kind, int(fields[3]), lineno)
-            elif word == "wire" and len(fields) == 5:
-                edges.append(Edge(fields[1], fields[2], int(fields[3]), int(fields[4])))
+            if word == "wire" and count == 5:
+                wires.append((fields[1], fields[2], int(fields[3]), int(fields[4])))
+                continue
+            if word == "gate" and count == 4 and fields[2] in _GATE_WORDS:
+                kind, delay = _GATE_WORDS[fields[2]], int(fields[3])
+            elif word in ("input", "output") and count == 2:
+                kind, delay = (INPUT if word == "input" else OUTPUT), 0
             else:
-                errors.append("line %d: cannot parse %r" % (lineno, raw.strip()))
+                raise ValueError(word)
         except ValueError:
-            errors.append("line %d: cannot parse %r" % (lineno, raw.strip()))
-
-    if errors:
-        raise NetlistError(errors)
-    return Netlist(nodes, edges)
+            errors.append((lineno, "line %d: cannot parse %r" % (lineno, raw.strip())))
+            continue
+        nodes.append((fields[1], kind, delay, lineno))
+    names, kinds, delays, lines = map(list, list(zip(*nodes)) or [(), (), (), ()])
+    netlist = object.__new__(Netlist)
+    netlist._set(*_build(names, kinds, delays, wires, lines, errors))
+    return netlist
 
 
 def to_text(netlist: Netlist) -> str:
-    lines = []
-    for n in netlist.nodes.values():
-        if n.kind is NodeKind.INPUT:
-            lines.append("input %s" % n.name)
-        elif n.kind is NodeKind.OUTPUT:
-            lines.append("output %s" % n.name)
-        else:
-            lines.append("gate %s %s %d" % (n.name, n.kind.value, n.delay))
-    for e in netlist.edges:
-        lines.append("wire %s %s %d %d" % (e.src, e.dst, e.pin, e.weight))
+    ix = netlist.index
+    lines = ["%s %s" % (kind.value, name) if kind is INPUT or kind is OUTPUT
+             else "gate %s %s %d" % (name, kind.value, delay)
+             for name, kind, delay in zip(ix.names, ix.kinds, ix.delays)]
+    lines += ["wire %s %s %d %d" % (ix.names[s], ix.names[d], p, w)
+              for s, d, p, w in zip(ix.src, ix.dst, ix.pin, netlist.weights)]
     return "\n".join(lines) + "\n"
 
 
@@ -293,57 +341,29 @@ class CriticalPath:
 
 
 def critical_path(netlist: Netlist) -> CriticalPath:
-    """Longest total delay along any register-free path (the clock period)."""
-    arrival = {}
-    pred = {}
-    fanin = {name: [] for name in netlist.nodes}
-    for e in netlist.edges:
-        if e.weight == 0:
-            fanin[e.dst].append(e.src)
-    best_name = None
-    for name in netlist.order:
-        node = netlist.nodes[name]
+    """Longest total delay along any register-free path (the clock period):
+    one pass over the index in register-free order, reading each node's
+    wires of weight 0."""
+    ix, weights = netlist.index, netlist.weights
+    src, into, delays = ix.src, ix.into, ix.delays
+    arrival, pred, best = [0] * len(delays), [-1] * len(delays), -1
+    for v in netlist._order:
         incoming = 0
-        via = None
-        for src in fanin[name]:
-            if arrival[src] > incoming:
-                incoming = arrival[src]
-                via = src
-        arrival[name] = node.delay + incoming
-        pred[name] = via
-        if best_name is None or arrival[name] > arrival[best_name]:
-            best_name = name
-    if best_name is None or arrival[best_name] == 0:
+        for e in into[v]:
+            if not weights[e] and arrival[src[e]] > incoming:
+                incoming = arrival[src[e]]
+                pred[v] = src[e]
+        arrival[v] = delays[v] + incoming
+        if best < 0 or arrival[v] > arrival[best]:
+            best = v
+    if best < 0 or arrival[best] == 0:
         return CriticalPath(0, [])
-    path = []
-    node = best_name
-    while node is not None:
-        path.append(node)
-        node = pred[node]
+    period, path = arrival[best], []
+    while best >= 0:
+        path.append(ix.names[best])
+        best = pred[best]
     path.reverse()
-    return CriticalPath(arrival[best_name], path)
-
-
-# The gates that map all-zero inputs to 1.  Each XORs with its own live
-# mask, a local that is `mask` except where `simulate` is given one.
-INVERTING = frozenset({NodeKind.NOT, NodeKind.NAND, NodeKind.NOR, NodeKind.CONST1})
-
-# One expression per node kind.  Every value stays inside `mask`, so the
-# inverting gates are an XOR with their live mask, the last operand.
-# INPUT's operand is its own stream.
-_EXPR = {
-    NodeKind.INPUT: "%s[t] & mask",
-    NodeKind.OUTPUT: "%s",
-    NodeKind.BUF: "%s",
-    NodeKind.AND: "%s & %s",
-    NodeKind.OR: "%s | %s",
-    NodeKind.XOR: "%s ^ %s",
-    NodeKind.NAND: "(%s & %s) ^ %s",
-    NodeKind.NOR: "(%s | %s) ^ %s",
-    NodeKind.NOT: "%s ^ %s",
-    NodeKind.CONST0: "0",
-    NodeKind.CONST1: "%s",
-}
+    return CriticalPath(period, path)
 
 
 # A driving node whose deepest outgoing wire holds at most this many
@@ -360,9 +380,9 @@ def _compile(netlist):
     in that order; also the input names in parameter order, and the
     inverting gates' names in the order of the tuples `live` yields.
 
-    Node i (in zero-weight topological order) is the local `v<i>`, and its
-    stream `s<i>` if it is an input or an output; an output appends through
-    the bound method `a<i>`.  A node whose deepest outgoing wire holds d
+    Node i (the i-th declared) is the local `v<i>`, assigned in register-free
+    topological order, and its stream `s<i>` if it is an input or an output;
+    an output appends through the bound method `a<i>`.  A node whose deepest outgoing wire holds d
     registers keeps its last d values in `r<i>_1`..`r<i>_d`, shifted each
     cycle, when d is at most `LOCAL_DEPTH`, and in the bounded deque `q<i>`
     otherwise.  The `r<i>_k` are keyword-only parameters that start at 0:
@@ -374,40 +394,35 @@ def _compile(netlist):
     No netlist string reaches the source: identifiers are built from
     indices alone.
     """
-    order = netlist.order
-    index = {name: i for i, name in enumerate(order)}
+    ix, weights = netlist.index, netlist.weights
     depth = {}  # register source index -> deepest wire it drives
-    for e in netlist.edges:
-        if e.weight:
-            i = index[e.src]
-            depth[i] = max(depth.get(i, 0), e.weight)
+    for i, w in zip(ix.src, weights):
+        if w and w > depth.get(i, 0):
+            depth[i] = w
 
     def read(e):
-        i = index[e.src]
-        if not e.weight:
+        i, w = ix.src[e], weights[e]
+        if not w:
             return "v%d" % i
         if depth[i] <= LOCAL_DEPTH:
-            return "r%d_%d" % (i, e.weight)
-        return "q%d[-%d]" % (i, e.weight)
+            return "r%d_%d" % (i, w)
+        return "q%d[-%d]" % (i, w)
 
-    fanin = {(e.dst, e.pin): read(e) for e in netlist.edges}
-    inputs = [name for name in order if netlist.nodes[name].kind is NodeKind.INPUT]
-    outputs = [index[name] for name in netlist.outputs()]
-
+    fanin = {(d, p): read(e) for e, (d, p) in enumerate(zip(ix.dst, ix.pin))}
     start, step, zeros, gated = [], [], [], []
-    for i, name in enumerate(order):
-        kind = netlist.nodes[name].kind
-        args = (("s%d" % i,) if kind is NodeKind.INPUT else
-                tuple(fanin[(name, p)] for p in range(ARITY[kind])))
-        if kind in INVERTING:
+    for i in netlist._order:
+        kind = ix.kinds[i]
+        args = (("s%d" % i,) if kind is INPUT else
+                tuple(fanin[i, p] for p in range(ix.arity[i])))
+        if kind.inverting:
             args += ("m%d" % i,)
             gated.append(i)
-        step.append("v%d = %s" % (i, _EXPR[kind] % args))
+        step.append("v%d = %s" % (i, kind.expr % args))
     if gated:
         masks = ["m%d" % i for i in gated]
         start.append("%s = mask" % " = ".join(masks))
         step.insert(0, "if t <= n: %s, = next(live)" % ", ".join(masks))
-    step += ["a%d(v%d)" % (i, i) for i in outputs]
+    step += ["a%d(v%d)" % (i, i) for i in ix.outputs]
     for i, d in depth.items():
         if d <= LOCAL_DEPTH:
             zeros += ["r%d_%d=0" % (i, k) for k in range(1, d + 1)]
@@ -416,18 +431,18 @@ def _compile(netlist):
         else:
             start.append("q%d = deque([0] * %d, %d)" % (i, d, d))
             step.append("q%d.append(v%d)" % (i, i))
-    for i in outputs:
+    for i in ix.outputs:
         start += ["s%d = []" % i, "a%d = s%d.append" % (i, i)]
 
-    params = ["cycles", "mask", "n", "live"] + ["s%d" % index[name] for name in inputs]
+    params = ["cycles", "mask", "n", "live"] + ["s%d" % i for i in ix.inputs]
     if zeros:  # keyword-only, so every call leaves them at their default
         params += ["*"] + zeros
     lines = ["def run(%s):" % ", ".join(params)]
     lines += ["    " + line for line in start]
     lines.append("    for t in range(cycles):")
     lines += ["        " + line for line in step or ["pass"]]
-    lines.append("    return [%s]" % ", ".join("s%d" % i for i in outputs))
-    return "\n".join(lines) + "\n", inputs, [order[i] for i in gated]
+    lines.append("    return [%s]" % ", ".join("s%d" % i for i in ix.outputs))
+    return "\n".join(lines) + "\n", netlist.inputs(), [ix.names[i] for i in gated]
 
 
 def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
@@ -450,15 +465,10 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
     is live.  The masks are read a cycle at a time, so lazy iterables keep
     memory to one mask per gate however long the start-up.
 
-    The first call on a netlist compiles it into one Python function whose
-    loop body is straight-line code for a cycle (see `_compile`): one
-    assignment per node, one bitwise expression per gate.  The function is
-    kept on the netlist, which is immutable by convention, so later calls
-    on it compile nothing.  Registers are kept per driving node, not per
-    register: up to `LOCAL_DEPTH` deep as locals that shift by plain
-    assignments, deeper as a bounded deque that takes one append a cycle,
-    so neither the source nor a cycle's work grows with a wire's depth
-    past that bound.
+    The first call on a netlist compiles it (see the module docstring and
+    `_compile`: one assignment per node, one bitwise expression per gate)
+    and keeps the function on the netlist, which is immutable by
+    convention, so later calls on it compile nothing.
     """
     missing = [name for name in netlist.inputs() if name not in inputs]
     if missing:

@@ -75,8 +75,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import and_, lshift, or_, rshift, xor
 
-from .netlist import (INVERTING, Netlist, NodeKind, critical_path, simulate,
-                      topological_order)
+from .netlist import INPUT, Netlist, critical_path, register_free_order, simulate
 
 
 class BadC(Exception):
@@ -101,26 +100,21 @@ def cslow_transform(netlist: Netlist, c: int) -> Netlist:
         raise BadC("slowdown factor must be >= 1, got %r" % c)
     if c == 1:
         return netlist  # netlists are immutable by convention: no copy
-    return netlist.with_weights([e.weight * c for e in netlist.edges])
-
-
-def _host_names(netlist):
-    return [n.name for n in netlist.nodes.values()
-            if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT)]
+    return netlist.with_weights([w * c for w in netlist.weights])
 
 
 def retimed_weights(netlist: Netlist, lag: dict) -> list:
     """w_r for every edge, raising IllegalRetiming on any violation."""
-    for host in _host_names(netlist):
-        if lag.get(host, 0) != 0:
-            raise IllegalRetiming("io node '%s' must keep lag 0" % host)
-    weights = []
-    for e in netlist.edges:
-        w = e.weight + lag.get(e.dst, 0) - lag.get(e.src, 0)
-        if w < 0:
-            raise IllegalRetiming(
-                "edge %s->%s pin %d would get weight %d" % (e.src, e.dst, e.pin, w))
-        weights.append(w)
+    ix = netlist.index
+    r = list(map(lag.get, ix.names, repeat(0)))
+    for i in ix.io:
+        if r[i] != 0:
+            raise IllegalRetiming("io node '%s' must keep lag 0" % ix.names[i])
+    weights = [w + r[d] - r[s] for w, s, d in zip(netlist.weights, ix.src, ix.dst)]
+    if min(weights, default=0) < 0:
+        e = next(e for e, w in enumerate(weights) if w < 0)
+        raise IllegalRetiming("edge %s->%s pin %d would get weight %d" % (
+            ix.names[ix.src[e]], ix.names[ix.dst[e]], ix.pin[e], weights[e]))
     return weights
 
 
@@ -201,18 +195,19 @@ def _has_cycle_from(parent):
 
 
 def min_period_retime(netlist: Netlist) -> RetimeResult:
-    """A legal retiming of minimum clock period (io lags pinned to 0)."""
-    index = list(netlist.nodes)
-    if not index:
+    """A legal retiming of minimum clock period (io lags pinned to 0).
+
+    FEAS runs on the netlist's index and weights; only the result's lags
+    are keyed by name."""
+    ix = netlist.index
+    if not ix.names:
         return RetimeResult({}, 0, netlist, 0)
-    pos = {name: i for i, name in enumerate(index)}
-    delay = [netlist.nodes[name].delay for name in index]
-    edges = [(pos[e.src], pos[e.dst], e.weight) for e in netlist.edges]
-    hosts = [pos[h] for h in _host_names(netlist)]
+    delay, hosts = ix.delays, ix.io
+    edges = list(zip(ix.src, ix.dst, netlist.weights))
 
     # The identity retiming meets the current period.
     period = before = critical_path(netlist).period
-    s = [0] * len(index)
+    s = [0] * len(delay)
     lo, hi = max(delay), period - 1
     mid = lo  # the lower bound first: a C-slowed netlist often meets it
     while lo <= hi:
@@ -224,7 +219,7 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
         mid = (lo + hi) // 2
 
     base = s[hosts[0]] if hosts else 0
-    lag = {name: base - s[pos[name]] for name in index if s[pos[name]] != base}
+    lag = {name: base - x for name, x in zip(ix.names, s) if x != base}
     retimed = apply_retiming(netlist, lag)
     achieved = critical_path(retimed).period
     if achieved != period:
@@ -242,12 +237,11 @@ def pipeline(netlist: Netlist, k: int) -> Netlist:
     """
     if k < 0:
         raise ValueError("pipeline depth must be >= 0, got %r" % k)
-    arcs = [(e.src, e.dst) for e in netlist.edges]
-    if len(topological_order(netlist.nodes, arcs)) < len(netlist.nodes):
+    ix = netlist.index
+    if len(register_free_order(ix, [0] * len(ix.src))) < len(ix.names):
         raise NotFeedForward("netlist has a feedback path; use cslow_transform")
-    input_names = set(netlist.inputs())
     staged = netlist.with_weights(
-        [e.weight + k if e.src in input_names else e.weight for e in netlist.edges])
+        [w + k if ix.kinds[s] is INPUT else w for w, s in zip(netlist.weights, ix.src)])
     return min_period_retime(staged).netlist
 
 
@@ -269,7 +263,7 @@ def flush_warmup(a: Netlist, b: Netlist) -> int:
     """Conservative start-up transient bound: every register plus every
     node of the larger circuit has been flushed after this many cycles."""
     return (max(a.total_registers, b.total_registers)
-            + max(len(a.nodes), len(b.nodes)))
+            + max(len(a.index.names), len(b.index.names)))
 
 
 def _check_interfaces(a, b):
@@ -358,31 +352,26 @@ def _first_difference(want, got, lo, hi, factor, trials):
 def recover_lags(a: Netlist, b: Netlist, factor: int) -> dict | None:
     """The lags r with b == apply_retiming(cslow_transform(a, factor), r),
     io lags 0, or None when b is no such retiming of a."""
-    if a.nodes != b.nodes or len(a.edges) != len(b.edges):
+    ix = a.index
+    if ix != b.index:
         return None
-    near = {name: [] for name in a.nodes}
-    for ea, eb in zip(a.edges, b.edges):
-        if ea[:3] != eb[:3]:
-            return None
-        d = eb.weight - factor * ea.weight  # r(dst) - r(src)
-        near[ea.src].append((ea.dst, d))
-        near[ea.dst].append((ea.src, -d))
-    hosts = _host_names(a)
-    lag = {}
-    for root in hosts + list(a.nodes):  # one walk per undirected component
-        if root in lag:
+    d = [wb - factor * wa for wa, wb in zip(a.weights, b.weights)]  # r(dst) - r(src)
+    lag = [None] * len(ix.names)
+    for root in chain(ix.io, range(len(lag))):  # one walk per undirected component
+        if lag[root] is not None:
             continue
         lag[root] = 0
         todo = [root]
         while todo:
             u = todo.pop()
-            for v, d in near[u]:
-                if v not in lag:
-                    lag[v] = lag[u] + d
+            for v, want in chain(((ix.dst[e], lag[u] + d[e]) for e in ix.out[u]),
+                                 ((ix.src[e], lag[u] - d[e]) for e in ix.into[u])):
+                if lag[v] is None:
+                    lag[v] = want
                     todo.append(v)
-                elif lag[v] != lag[u] + d:
+                elif lag[v] != want:
                     return None
-    return None if any(lag[h] for h in hosts) else lag
+    return None if any(lag[h] for h in ix.io) else dict(zip(ix.names, lag))
 
 
 def simulate_lag_shifted(a: Netlist, lag: dict, factor: int, trials: int,
@@ -397,7 +386,8 @@ def simulate_lag_shifted(a: Netlist, lag: dict, factor: int, trials: int,
     half = (1 << width) - 1
     # Lanes of the blocks j >= k: block j of step T is slot time T*factor + j.
     tails = [half >> k * trials << k * trials for k in range(factor)]
-    start = {name: -lag[name] for name, n in a.nodes.items() if n.kind in INVERTING}
+    ix = a.index
+    start = {name: -lag[name] for name, kind in zip(ix.names, ix.kinds) if kind.inverting}
     first = min([0, *start.values()]) // factor
     end = min(steps, max([0, *(-(-s // factor) for s in start.values())]))
     # a's half starts at step 0, b's at each gate's own start s: its blocks

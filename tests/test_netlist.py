@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gennet
 import refnet
-from cslowsim import netlist
+from cslowsim import cli, netlist
 from cslowsim.netlist import (
     ARITY,
     GATE_KINDS,
@@ -20,7 +20,7 @@ from cslowsim.netlist import (
     simulate,
     to_text,
 )
-from cslowsim.retime import cslow_transform
+from cslowsim.retime import cslow_transform, min_period_retime
 
 
 def test_parse_chain_fixture(chain_net_text):
@@ -354,6 +354,11 @@ def test_netlist_constructor_validates():
         Netlist([Node("o", NodeKind.OUTPUT)], [])
     with pytest.raises(NetlistError):
         Netlist([Node("g", NodeKind.BUF, 1)], [Edge("g", "g", 0, 0)])
+    # Two nodes of one name are refused, as `parse` refuses them, rather
+    # than the later one replacing the earlier.
+    with pytest.raises(NetlistError) as exc:
+        Netlist([Node("a", NodeKind.INPUT), Node("a", NodeKind.OUTPUT)], [])
+    assert exc.value.violations == ["duplicate node 'a'"]
 
 
 def test_with_weights_refuses_negative_weights_and_register_free_loops(ring_net_text):
@@ -366,3 +371,100 @@ def test_with_weights_refuses_negative_weights_and_register_free_loops(ring_net_
     moved = ring.with_weights([1 if e.src == "g3" else 0 for e in ring.edges])
     assert moved.order.index("g4") < moved.order.index("g1") < moved.order.index("g3")
     assert ring.with_weights(weights) == ring
+    with pytest.raises(ValueError):
+        ring.with_weights(weights[1:])
+
+
+def test_with_weights_shares_the_index(monkeypatch, ring_net_text):
+    ring = parse(ring_net_text)
+    simulate(ring, {"in": [1] * 4}, 4)
+    ordered = []
+    real_order = netlist.register_free_order
+    monkeypatch.setattr(netlist, "register_free_order",
+                        lambda *args: ordered.append(args) or real_order(*args))
+    slowed = cslow_transform(ring, 3)
+    # Every wire keeps or lacks registers as before: no new order.
+    assert slowed.index is ring.index and slowed._order is ring._order and not ordered
+    assert slowed._simulator is None and slowed._edges is None
+    loop = [(e.src, e.dst) == ("g1", "g2") for e in ring.edges]  # its one register
+    with pytest.raises(NetlistError, match="combinational cycle: "):
+        ring.with_weights([0 if on else e.weight for e, on in zip(ring.edges, loop)])
+    with pytest.raises(NetlistError, match="wire g1->g2 has negative weight"):
+        ring.with_weights([-1 if on else e.weight for e, on in zip(ring.edges, loop)])
+
+
+@pytest.mark.parametrize("safe_loops", [True, False])
+def test_with_weights_matches_a_parse_of_its_text(safe_loops):
+    rng = random.Random(7)
+    for _ in range(20):
+        net = parse(to_text(gennet.random_netlist(rng, max_gates=8, safe_loops=safe_loops)))
+        slowed = cslow_transform(net, 3)
+        retimed = min_period_retime(slowed).netlist
+        # A retiming run builds no `Edge` or `Node` of its derived netlists.
+        assert slowed._edges is None and retimed._edges is None and net.index.nodes is None
+        for derived in (slowed, retimed):
+            again = parse(to_text(derived))
+            assert derived == again and derived.index is not again.index
+            assert derived.edges == again.edges and derived.order == again.order
+            assert derived.total_registers == again.total_registers
+            assert derived.nodes == again.nodes and derived._simulator is None
+
+
+# Every message `parse` and the constructor's validation can give, word for
+# word and in order: stderr for an invalid netlist is this text.
+MALFORMED = [
+    ("input a\ninput a\n", ["line 2: duplicate node 'a'"]),
+    ("input a\nbogus line  # note\ngate g input 0\n",
+     ["line 2: cannot parse 'bogus line  # note'", "line 3: cannot parse 'gate g input 0'"]),
+    ("input a\nwire a nosuch 0 0\n", ["wire references unknown node 'nosuch'"]),
+    ("input a\noutput o\nwire a o 0 -1\n", ["wire a->o has negative weight"]),
+    ("input a\ninput b\ngate g NOT 1\nwire a g 0 0\nwire b g 1 0\n",
+     ["node 'g' (NOT) has no pin 1 for wire from 'b'"]),
+    ("input a\ngate g NOT 1\nwire a g 0 0\nwire a g 0 0\n", ["pin 0 of 'g' driven twice"]),
+    ("input a\ngate g BUF -2\nwire a g 0 0\n", ["node 'g' has negative delay"]),
+    ("output o\n", ["pin 0 of 'o' is undriven"]),
+    ("gate g1 BUF 1\ngate g2 BUF 1\nwire g1 g2 0 0\nwire g2 g1 0 0\n",
+     ["combinational cycle: g1 -> g2 -> g1"]),
+    # Several at once.  Syntax errors and duplicates come in line order and
+    # stop the check; unknown ends and negative weights come wire by wire
+    # and stop it too.
+    ("input a\ninput a\nfoo\ngate g AND x\noutput a\n",
+     ["line 2: duplicate node 'a'", "line 3: cannot parse 'foo'",
+      "line 4: cannot parse 'gate g AND x'", "line 5: duplicate node 'a'"]),
+    ("input a\nwire a x 0 -1\nwire y a 0 0\nwire a a 0 -2\n",
+     ["wire references unknown node 'x'", "wire a->x has negative weight",
+      "wire references unknown node 'y'", "wire a->a has negative weight"]),
+    ("input a\ngate g NOT -1\ngate h AND 1\ngate k BUF 1\noutput o\n"
+     "wire a g 1 0\nwire a h 0 0\nwire a h 0 0\nwire k k 0 0\nwire h o 0 0\nwire k o 1 0\n",
+     ["node 'g' (NOT) has no pin 1 for wire from 'a'", "pin 0 of 'h' driven twice",
+      "node 'o' (output) has no pin 1 for wire from 'k'", "node 'g' has negative delay",
+      "pin 0 of 'g' is undriven", "pin 1 of 'h' is undriven",
+      "combinational cycle: k -> k"]),
+]
+
+
+@pytest.mark.parametrize("text, violations", MALFORMED, ids=[
+    v[0] if len(v) == 1 else "%d violations" % len(v) for _, v in MALFORMED])
+def test_parse_error_text(text, violations):
+    with pytest.raises(NetlistError) as exc:
+        parse(text)
+    assert exc.value.violations == violations
+    assert str(exc.value) == "; ".join(violations)
+
+
+def test_constructor_error_text():
+    with pytest.raises(NetlistError) as exc:
+        Netlist([Node("a", NodeKind.INPUT, 2), Node("o", NodeKind.OUTPUT)],
+                [Edge("a", "o", 0, 0)])
+    assert exc.value.violations == ["io node 'a' must have delay 0"]
+
+
+@pytest.mark.parametrize("case", [0, len(MALFORMED) - 1])
+def test_cli_reports_netlist_errors(tmp_path, capsys, case):
+    path = tmp_path / "bad.net"
+    text, violations = MALFORMED[case]
+    path.write_text(text)
+    assert cli.main(["retime", str(path), "--cslow", "3", "--check", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % "; ".join(violations)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gennet
 import refnet
+import refratio
 import refretime
 from cslowsim import retime
 from cslowsim.netlist import (GATE_KINDS, INVERTING, LOCAL_DEPTH, Edge, Netlist, Node,
@@ -331,31 +332,7 @@ def test_cycle_ratio_lower_bound():
         result = min_period_retime(net)
         max_delay = max((n.delay for n in net.nodes.values()), default=0)
         assert result.period >= max_delay
-        bound = _max_cycle_bound(net)
-        assert result.period >= bound
-
-
-def _max_cycle_bound(net):
-    """max over simple directed cycles of ceil(delay sum / register sum)."""
-    names = list(net.nodes)
-    adj = {}
-    for e in net.edges:
-        adj.setdefault(e.src, []).append((e.dst, e.weight))
-    best = 0
-    start_stack = []
-
-    def dfs(node, start, seen, dsum, wsum):
-        nonlocal best
-        for succ, w in adj.get(node, ()):  # enumerate simple cycles
-            if succ == start:
-                best = max(best, math.ceil((dsum) / (wsum + w)))
-            elif succ not in seen and names.index(succ) > names.index(start):
-                dfs(succ, start, seen | {succ}, dsum + net.nodes[succ].delay,
-                    wsum + w)
-
-    for start in names:
-        dfs(start, start, {start}, net.nodes[start].delay, 0)
-    return best
+        assert result.period >= math.ceil(refratio.max_cycle_ratio_enumerated(net))
 
 
 def _unit_ring(n, k):
@@ -542,3 +519,38 @@ def test_lag_shifted_lanes_are_the_retimed_netlist(monkeypatch):
     assert failed and passed and short and moved  # no part of it vacuous
     assert min(starts) <= -10 and max(starts) >= 10  # inverting gates either way
     assert min(const1) < 0 < max(const1)
+
+
+def _ratio_cases():
+    """gennet netlists with loops, with and without inverting gates in them,
+    and the corpus circuits."""
+    from conftest import CORPUS
+    rng = random.Random(29)
+    nets = [gennet.random_netlist(rng, max_gates=10, max_weight=1, p_zero_weight=0.8,
+                                  safe_loops=safe)
+            for safe in (True, False) for _ in range(20)]
+    return nets + [parse(path.read_text())
+                   for path in sorted((CORPUS / "circuits").glob("*.net"))]
+
+
+def test_cycle_ratio_methods_agree():
+    cases = _ratio_cases()
+    ratios = [refratio.max_cycle_ratio(net) for net in cases]
+    assert any(r and r.denominator > 1 for r in ratios)  # not all whole, not all 0
+    for net, ratio in zip(cases, ratios):
+        if len(net.nodes) <= 20:
+            assert ratio == refratio.max_cycle_ratio_enumerated(net)
+
+
+def test_min_period_meets_cycle_ratio_bound():
+    # Retiming keeps each cycle's registers and C-slow multiplies them by C,
+    # so no period of a C-slowed netlist is below lambda / C.
+    met = 0  # cases where the ratio bound is above d_max and met exactly
+    for net in _ratio_cases():
+        ratio = refratio.max_cycle_ratio(net)
+        d_max = max((node.delay for node in net.nodes.values()), default=0)
+        for c in range(1, 9):
+            period = min_period_retime(cslow_transform(net, c)).period
+            assert period >= max(d_max, math.ceil(ratio / c)), (net, c)
+            met += period == math.ceil(ratio / c) > d_max
+    assert met >= 5
