@@ -56,9 +56,10 @@ class NodeKind(Enum):
     compiled simulator's loop (see `_compile`).  Every value stays inside
     `mask`, so an `inverting` gate, one that maps all-zero inputs to 1, is
     an XOR with its live mask, its last operand: a local that is `mask`
-    except where `simulate` is given one.  INPUT's operand is its stream."""
+    except where `simulate` is given one.  INPUT's operand is its value
+    this cycle, which the loop draws from its stream."""
 
-    INPUT = "input", 0, "%s[t] & mask"
+    INPUT = "input", 0, "%s & mask"
     OUTPUT = "output", 1, "%s"
     AND = "AND", 2, "%s & %s"
     OR = "OR", 2, "%s | %s"
@@ -375,22 +376,31 @@ LOCAL_DEPTH = 12
 
 
 def _compile(netlist):
-    """Source of `run(cycles, mask, n, live, *input streams)`, which simulates
-    `netlist` and returns one output stream per `netlist.outputs()` name,
-    in that order; also the input names in parameter order, and the
-    inverting gates' names in the order of the tuples `live` yields.
+    """Source of `run(cycles, mask, n, live, probe, hook, *input streams)`,
+    which simulates `netlist` and returns one output stream per
+    `netlist.outputs()` name, in that order; also the input names in
+    parameter order, and the inverting gates' names in the order of the
+    tuples `live` yields.
 
     Node i (the i-th declared) is the local `v<i>`, assigned in register-free
-    topological order, and its stream `s<i>` if it is an input or an output;
-    an output appends through the bound method `a<i>`.  A node whose deepest outgoing wire holds d
-    registers keeps its last d values in `r<i>_1`..`r<i>_d`, shifted each
-    cycle, when d is at most `LOCAL_DEPTH`, and in the bounded deque `q<i>`
-    otherwise.  The `r<i>_k` are keyword-only parameters that start at 0:
-    a default costs less to compile than a statement per local.  An
-    inverting gate XORs with its live mask `m<i>`, which starts as `mask`;
-    in each of the cycles 0..n the next tuple from the iterator `live`
-    replaces them all, and past those the loop body is what it would be
-    without them but for one comparison.
+    topological order.  The loop draws one value a cycle from each input
+    stream `s<i>` (zipped with the cycle count, so a stream may be a lazy
+    iterator, read only up to the cycle the run ends in) into `x<i>`; an
+    output appends to its list `s<i>` through the bound method `a<i>`.  A
+    node whose deepest outgoing wire holds d registers keeps its last d
+    values in `r<i>_1`..`r<i>_d`, shifted each cycle, when d is at most
+    `LOCAL_DEPTH`, and in the bounded deque `q<i>` otherwise.  The `r<i>_k`
+    are keyword-only parameters that start at 0: a default costs less to
+    compile than a statement per local.  An inverting gate XORs with its
+    live mask `m<i>`, which starts as `mask`; in each of the cycles 0..n
+    the next tuple from the iterator `live` replaces them all, and past
+    those the loop body is what it would be without them but for one
+    comparison.
+    At the start of cycle `probe`, before any node is evaluated, the loop
+    calls `hook(t, histories, outputs)`: every register history value
+    (each `r<i>_k`, then each deque's values) in one tuple, and the output
+    lists so far.  The hook returns the next cycle to probe, or None to end
+    the run there.  With a probe of -1 it is never called.
     No netlist string reaches the source: identifiers are built from
     indices alone.
     """
@@ -412,7 +422,7 @@ def _compile(netlist):
     start, step, zeros, gated = [], [], [], []
     for i in netlist._order:
         kind = ix.kinds[i]
-        args = (("s%d" % i,) if kind is INPUT else
+        args = (("x%d" % i,) if kind is INPUT else
                 tuple(fanin[i, p] for p in range(ix.arity[i])))
         if kind.inverting:
             args += ("m%d" % i,)
@@ -423,38 +433,49 @@ def _compile(netlist):
         start.append("%s = mask" % " = ".join(masks))
         step.insert(0, "if t <= n: %s, = next(live)" % ", ".join(masks))
     step += ["a%d(v%d)" % (i, i) for i in ix.outputs]
+    held = []  # the histories, as the probe hands them over
     for i, d in depth.items():
         if d <= LOCAL_DEPTH:
             zeros += ["r%d_%d=0" % (i, k) for k in range(1, d + 1)]
             step += ["r%d_%d = r%d_%d" % (i, k, i, k - 1) for k in range(d, 1, -1)]
             step.append("r%d_1 = v%d" % (i, i))
+            held += ["r%d_%d" % (i, k) for k in range(1, d + 1)]
         else:
             start.append("q%d = deque([0] * %d, %d)" % (i, d, d))
             step.append("q%d.append(v%d)" % (i, i))
+            held.append("*q%d" % i)
     for i in ix.outputs:
         start += ["s%d = []" % i, "a%d = s%d.append" % (i, i)]
+    outs = "".join("s%d, " % i for i in ix.outputs)
+    step[:0] = ["if t == probe:",
+                "    probe = hook(t, (%s), (%s))" % ("".join(h + ", " for h in held), outs),
+                "    if probe is None: break"]
 
-    params = ["cycles", "mask", "n", "live"] + ["s%d" % i for i in ix.inputs]
+    params = ["cycles", "mask", "n", "live", "probe", "hook"] + ["s%d" % i for i in ix.inputs]
     if zeros:  # keyword-only, so every call leaves them at their default
         params += ["*"] + zeros
     lines = ["def run(%s):" % ", ".join(params)]
     lines += ["    " + line for line in start]
-    lines.append("    for t in range(cycles):")
-    lines += ["        " + line for line in step or ["pass"]]
-    lines.append("    return [%s]" % ", ".join("s%d" % i for i in ix.outputs))
+    lines.append("    for t, %sin zip(range(cycles), %s):"
+                 % ("".join("x%d, " % i for i in ix.inputs),
+                    ", ".join("s%d" % i for i in ix.inputs)))
+    lines += ["        " + line for line in step]
+    lines.append("    return [%s]" % outs)
     return "\n".join(lines) + "\n", netlist.inputs(), [ix.names[i] for i in gated]
 
 
 def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
-             live: tuple | None = None) -> dict:
+             live: tuple | None = None, probe: tuple | None = None) -> dict:
     """Clocked simulation for `cycles` cycles; returns output streams.
 
     `inputs` maps every input name to a sequence of at least `cycles`
-    values.  With lanes=1 values are bits; larger `lanes` runs that many
-    independent bit-parallel simulations at once (each value is an integer
-    whose bit k belongs to lane k), which all gate functions respect.
-    Registers start at 0; outputs are sampled after combinational settling
-    each cycle, then every register pipeline shifts.
+    values, or to an iterator of them: the run draws one value a cycle, so
+    a lazy stream is computed only up to the cycle the run ends in.  With
+    lanes=1 values are bits; larger `lanes` runs that many independent
+    bit-parallel simulations at once (each value is an integer whose bit k
+    belongs to lane k), which all gate functions respect.  Registers start
+    at 0; outputs are sampled after combinational settling each cycle, then
+    every register pipeline shifts.
 
     `live`, if given, is a pair (n, masks): `masks` maps every NOT, NAND,
     NOR and CONST1 node to an iterable of at least n lane masks, its live
@@ -465,6 +486,13 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
     is live.  The masks are read a cycle at a time, so lazy iterables keep
     memory to one mask per gate however long the start-up.
 
+    `probe`, if given, is a pair (t, hook): at the start of cycle t, and
+    then of each cycle the hook names, `hook(t, histories, outputs)` sees
+    every register's value (in no promised order, one tuple) and the
+    output lists, in `netlist.outputs()` order, of the cycles before t.  It
+    returns the next cycle to probe, or None to stop there; the output
+    streams then hold t values.
+
     The first call on a netlist compiles it (see the module docstring and
     `_compile`: one assignment per node, one bitwise expression per gate)
     and keeps the function on the netlist, which is immutable by
@@ -474,7 +502,7 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
     if missing:
         raise ValueError("missing input streams: %s" % ", ".join(missing))
     for name in netlist.inputs():
-        if len(inputs[name]) < cycles:
+        if hasattr(inputs[name], "__len__") and len(inputs[name]) < cycles:
             raise ValueError("input stream '%s' shorter than %d cycles" % (name, cycles))
 
     if netlist._simulator is None:
@@ -491,5 +519,8 @@ def simulate(netlist: Netlist, inputs: dict, cycles: int, lanes: int = 1,
     if live:  # n tuples of masks, then one that sets them all back to `mask`
         n, masks = live
         rows = chain(islice(zip(*(masks[name] for name in gated)), n), [(mask,) * len(gated)])
-    streams = run(cycles, mask, n, rows, *(inputs[name] for name in order))
+    streams = run(cycles, mask, n, rows, *(probe or (-1, None)),
+                  *(inputs[name] for name in order))
+    if probe is None and streams and len(streams[0]) < cycles:
+        raise ValueError("input streams shorter than %d cycles" % cycles)
     return dict(zip(netlist.outputs(), streams))

@@ -65,15 +65,28 @@ zero inputs, a's half with start 0 everywhere.  From step
 ceil(max start / factor) on every mask is `mask`.  The lanes are b's
 values exactly, so every verdict and mismatch is the direct run's; any
 other b is simulated on its own.
+
+The lag-shifted check stops as soon as its report is decided, which one
+of two events settles.  (a) Once every mask is `mask`, both halves run a's
+recurrence on the same inputs, so if every register history then holds
+equal halves, no later step differs and the steps so far give the report.
+Starting from zero registers, a b whose inverting gates keep lag 0 agrees
+at step 0.  (b) The report is output-major, so once a's first output
+differs in the compared window, the report names it and its first
+differing cycle whatever comes later.  The check probes for both at the
+first step where either can hold, then at gaps growing to `PROBE_GAP`
+steps; the input columns are packed as the simulation reads them, so the
+preparation stops with it.  `EquivalenceReport.simulated` counts the
+steps run.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import and_, lshift, or_, rshift, xor
+from itertools import chain, islice, repeat
+from operator import and_, lshift, mul, or_, rshift, xor
 
 from .netlist import INPUT, Netlist, critical_path, register_free_order, simulate
 
@@ -136,6 +149,7 @@ def _feas(delay, edges, hosts, c, start):
     m = len(delay)
     s = list(start)
     parent = [-1] * m
+    walk = [0] * (m + 1)  # for `_closes_cycle`
     while True:
         into = [[] for _ in range(m)]  # register-free wires, by head
         fanout = [0] * m
@@ -177,20 +191,26 @@ def _feas(delay, edges, hosts, c, start):
                         pulled.append(u)
         for v in raised:
             s[v] += 1
-        if _has_cycle_from(parent) or max(s) >= m:
+        # Only the raised nodes' pointers and values moved, and the last
+        # pass left no cycle, so a new one runs through a raised node.
+        if _closes_cycle(parent, raised, walk) or max(map(s.__getitem__, raised)) >= m:
             return None
 
 
-def _has_cycle_from(parent):
-    """Whether following `parent` links (-1 ends a chain) ever loops."""
-    walk = [0] * len(parent)
-    for start in range(len(parent)):
-        v = start
-        while v >= 0 and not walk[v]:
-            walk[v] = start + 1
+def _closes_cycle(parent, starts, walk):
+    """Whether following `parent` links (-1 ends a chain) from a node of
+    `starts` ever loops.  `walk` holds each node's last walk number and
+    walk[-1] the last number used; a node numbered by an earlier call
+    counts as unvisited, so nothing is reset between calls."""
+    base = number = walk[-1]
+    for v in starts:
+        number += 1
+        while v >= 0 and walk[v] <= base:
+            walk[v] = number
             v = parent[v]
-        if v >= 0 and walk[v] == start + 1:
+        if v >= 0 and walk[v] == number:
             return True
+    walk[-1] = number
     return False
 
 
@@ -253,6 +273,9 @@ class EquivalenceReport:
     cycles: int
     shift: int = 0
     mismatch: tuple | None = None  # (output name, cycle)
+    # Steps simulated, summed over the check's simulations: what the check
+    # cost, not what it found, so two reports compare equal without it.
+    simulated: int = field(default=0, compare=False)
 
     @property
     def verdict(self):
@@ -311,38 +334,46 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 100,
     if lag is None:
         outs = simulate(a, slots, steps, lanes=factor * trials)
         outs_b = simulate(b, streams, cycles, lanes=trials)
-        pairs = {name: (outs[name], _slots(outs_b[name][shift:], factor, trials, steps))
+        pairs = {name: (outs[name], list(_slots(outs_b[name][shift:], factor, trials, steps)))
                  for name in a.outputs()}
+        simulated = steps + cycles
     else:  # b's threads are each column's lanes past a's slots
-        outs = simulate_lag_shifted(a, lag, factor, trials, slots, steps)
+        outs, simulated = _lag_shifted(a, lag, factor, trials, slots, steps,
+                                       (warmup, cycles))
         pairs = {name: (column, list(map(rshift, column, repeat(factor * trials))))
                  for name, column in outs.items()}
     for name in a.outputs():
         t = _first_difference(*pairs[name], warmup, cycles - shift, factor, trials)
         if t is not None:
             return EquivalenceReport(False, warmup, trials, cycles, shift,
-                                     mismatch=(name, t + shift))
-    return EquivalenceReport(True, warmup, trials, cycles, shift)
+                                     mismatch=(name, t + shift), simulated=simulated)
+    return EquivalenceReport(True, warmup, trials, cycles, shift, simulated=simulated)
 
 
 def _slots(stream, factor, trials, steps):
-    """`stream`'s values j, j + factor, ... (zeros past its end) in lanes
-    j * trials onwards: `steps` values, one a step."""
+    """An iterator over `stream`'s values j, j + factor, ... (zeros past
+    its end) in lanes j * trials onwards: `steps` values, one a step, each
+    packed when it is read."""
     stream = stream + [0] * (steps * factor - len(stream))
-    column = stream[::factor]
+    column = islice(stream, 0, None, factor)
     for j in range(1, factor):
-        column = list(map(or_, column, map(lshift, stream[j::factor], repeat(j * trials))))
+        column = map(or_, column, map(lshift, islice(stream, j, None, factor),
+                                      repeat(j * trials)))
     return column
 
 
 def _first_difference(want, got, lo, hi, factor, trials):
     """The first time in [lo, hi) whose lanes differ between the slot
-    columns `want` and `got` (lanes past factor * trials ignored), or None."""
+    columns `want` and `got` (lanes past factor * trials ignored), or None.
+    Steps past the end of the shorter column count as equal."""
     first, last = lo // factor, (hi - 1) // factor
     diff = list(map(and_, map(xor, want[first:last + 1], got[first:last + 1]),
                     repeat((1 << factor * trials) - 1)))
+    if not diff:
+        return None
     diff[0] &= -1 << (lo - first * factor) * trials
-    diff[-1] &= (1 << (hi - last * factor) * trials) - 1
+    if first + len(diff) > last:  # the last step is there: cut it at hi
+        diff[-1] &= (1 << (hi - last * factor) * trials) - 1
     for step, d in enumerate(diff, first):
         if d:
             return step * factor + ((d & -d).bit_length() - 1) // trials
@@ -380,7 +411,26 @@ def simulate_lag_shifted(a: Netlist, lag: dict, factor: int, trials: int,
     a in lanes [0, W), W = factor * trials, with those of b =
     apply_retiming(cslow_transform(a, factor), lag) in lanes [W, 2W) as b's
     lag-shifted threads; see the module docstring.  `slots` holds a's input
-    columns (see `_slots`).
+    columns (see `_slots`), lists or iterators.
+    """
+    return _lag_shifted(a, lag, factor, trials, slots, steps)[0]
+
+
+# A check probes soon after its masks end and its window starts, then ever
+# less often, up to once in this many steps: a probe costs about a step.
+PROBE_GAP = 16
+
+
+def _lag_shifted(a, lag, factor, trials, slots, steps, window=None):
+    """`simulate_lag_shifted`'s columns and the number of steps simulated.
+
+    With a `window` (lo, hi) of slot times, the run stops at the first
+    probe where the report over that window is decided: either every
+    register's two halves hold equal lanes while every lane is live, so the
+    halves run the same recurrence on the same inputs from then on and
+    differ at no later step (a), or a's first output already differs in the
+    window (b).  The columns then end there; `_first_difference` counts
+    their missing steps as equal, which (a) makes exact and (b) makes moot.
     """
     width = factor * trials
     half = (1 << width) - 1
@@ -397,10 +447,40 @@ def simulate_lag_shifted(a: Netlist, lag: dict, factor: int, trials: int,
                       chain(repeat(0, s // factor - first), [tails[s % factor] << width],
                             repeat(half << width)))
             for name, s in start.items()}
-    inputs = {name: [0] * -first + list(map(or_, column, map(lshift, column, repeat(width))))
-              for name, column in slots.items()}  # a's input column in both halves
-    outs = simulate(a, inputs, steps - first, lanes=2 * width, live=(end - first, live))
-    return {name: column[-first:] for name, column in outs.items()}
+    both = 1 + (1 << width)  # a's input column in both halves, packed as read
+    inputs = {name: chain(repeat(0, -first), map(mul, column, repeat(both)))
+              for name, column in slots.items()}
+    full = end - first  # from this step on, every lane is live
+    ran = steps - first
+    probe = None
+    if window is not None:
+        lo, hi = window
+        gap, done = 1, lo  # slot times below `done` are compared, for (b)
+
+        def decided(t, held, outs):
+            nonlocal gap, done, ran
+            if t >= full and not any(map(and_, map(xor, held, map(rshift, held, repeat(width))),
+                                         repeat(half))):
+                ran = t
+                return None  # (a)
+            upto = min(hi, (t + first) * factor)
+            if outs and upto > done:
+                base = done // factor
+                column = outs[0][base - first:(upto - 1) // factor + 1 - first]
+                if _first_difference(column, list(map(rshift, column, repeat(width))),
+                                     done - base * factor, upto - base * factor,
+                                     factor, trials) is not None:
+                    ran = t
+                    return None  # (b)
+                done = upto
+            gap = min(2 * gap, PROBE_GAP)
+            return t + gap if t >= compared else min(t + gap, compared)
+
+        compared = lo // factor + 1 - first  # the first step past lo
+        probe = min(full, compared), decided
+    outs = simulate(a, inputs, steps - first, lanes=2 * width, live=(full, live),
+                    probe=probe)
+    return {name: column[-first:] for name, column in outs.items()}, ran
 
 
 def check_cslow_equivalence(a: Netlist, b: Netlist, factor: int,

@@ -174,6 +174,35 @@ def test_simulate_missing_or_short_input():
         simulate(net, {}, 4)
     with pytest.raises(ValueError, match="shorter"):
         simulate(net, {"a": [1, 0]}, 4)
+    with pytest.raises(ValueError, match="shorter"):
+        simulate(net, {"a": iter([1, 0])}, 4)
+
+
+def test_simulate_probe_sees_histories_and_stops():
+    # g keeps two values in locals, h a deque of LOCAL_DEPTH + 1.  The hook
+    # sees both histories and the outputs so far, and stopping at cycle 4
+    # leaves four values per output and the input read one value past them.
+    deep = LOCAL_DEPTH + 1
+    net = parse("input a\noutput o\noutput p\ngate g BUF 1\ngate h BUF 1\n"
+                "wire a g 0 0\nwire a h 0 0\nwire g o 0 2\nwire h p 0 %d\n" % deep)
+    a = [1, 0, 1, 1, 0, 1, 1, 1]
+    seen = []
+
+    def hook(t, held, outs):
+        seen.append((t, sorted(held), [list(o) for o in outs]))
+        return None if t == 4 else t + 2
+
+    stream = iter(a)
+    outs = simulate(net, {"a": stream}, len(a), probe=(0, hook))
+    assert outs == {"o": [0, 0, 1, 0], "p": [0] * 4}
+    assert next(stream) == a[5]
+    assert [t for t, _, _ in seen] == [0, 2, 4]
+    for t, held, got in seen:
+        past = a[max(0, t - 2):t] + a[max(0, t - deep):t]
+        assert held == sorted(past + [0] * (2 + deep - len(past)))
+        assert got == [([0, 0] + a)[:t], [0] * t]
+    # Without a probe the same run goes to the end.
+    assert simulate(net, {"a": iter(a)}, len(a)) == {"o": [0, 0] + a[:6], "p": [0] * 8}
 
 
 def test_weight_k_edge_equals_k_chained_unit_stages():

@@ -521,6 +521,87 @@ def test_lag_shifted_lanes_are_the_retimed_netlist(monkeypatch):
     assert min(const1) < 0 < max(const1)
 
 
+def test_decided_check_equals_full_and_direct_checks(monkeypatch):
+    # The lag-shifted check stops once its report is decided: when the two
+    # lane halves agree, or when the first output differs.  Its report must
+    # be the full run's and the direct two-netlist check's.
+    rng = random.Random(30)
+    cases = [(a, c, b, cycles, rng.randrange(cycles))
+             for a, c, b, cycles, _ in _lag_cases()]
+    for net in _check_cases():
+        for c in (1, 2, 3):
+            slowed = cslow_transform(net, c)
+            final = min_period_retime(slowed).netlist
+            cases.append((net, c, final, None, flush_warmup(slowed, final)))
+    at_start = agreed = differed = ran_out = 0
+    for i, (a, c, b, cycles, warmup) in enumerate(cases):
+        report = check_equivalence(a, b, 2, cycles, warmup, seed=i, factor=c)
+        with monkeypatch.context() as m:  # no probe, so no stop
+            m.setattr(retime, "simulate",
+                      lambda *args, probe=None, **kwargs: simulate(*args, **kwargs))
+            full = check_equivalence(a, b, 2, cycles, warmup, seed=i, factor=c)
+            m.setattr(retime, "recover_lags", lambda *args: None)
+            direct = check_equivalence(a, b, 2, cycles, warmup, seed=i, factor=c)
+        assert report == full == direct, i
+        steps = -(-report.cycles // c)
+        assert direct.simulated == steps + report.cycles
+        assert report.simulated <= full.simulated and full.simulated >= steps
+        if report.simulated == full.simulated:
+            ran_out += 1
+        elif report.passed:
+            at_start += not report.simulated  # as when no inverting gate moves
+            agreed += report.simulated > 0
+        else:
+            differed += report.mismatch[0] == a.outputs()[0]
+    assert at_start and agreed and differed and ran_out  # each way of ending
+
+
+def test_decided_check_waits_for_every_lane_to_be_live(monkeypatch):
+    # CONST1 -> NAND, the NAND's other input `weight` registers behind `in`,
+    # and the CONST1 given lag -start: b's NAND reads 1 until the CONST1
+    # starts, where a's inverts `in`.  Only `in` holds registers, and its
+    # history is the same in both halves from the start, so a check that
+    # trusted agreeing histories while the CONST1 is still dead would PASS
+    # these FAILs.  With start 4 the check probes at step 3, the last dead
+    # one.
+    failed = 0
+    for weight, start in ((2, 5), (3, 4)):
+        a = parse("input in\noutput o\ngate one CONST1 1\ngate k NAND 1\n"
+                  "wire one k 0 0\nwire in k 1 %d\nwire k o 0 0\n" % weight)
+        for c in (1, 2):
+            b = apply_retiming(cslow_transform(a, c), {"one": -start})
+            report = check_equivalence(a, b, trials=4, cycles=20, warmup=0, factor=c)
+            with monkeypatch.context() as m:
+                m.setattr(retime, "recover_lags", lambda *args: None)
+                assert report == check_equivalence(a, b, trials=4, cycles=20, warmup=0,
+                                                   factor=c)
+            failed += not report.passed
+    assert failed == 3
+
+
+def test_decided_check_names_the_first_output():
+    # The inverting ring with a second output, `early`, read straight off
+    # the NOT: the retimed loop shows at `early` before it reaches `out`
+    # through five registers.  The report is output-major, so it names
+    # `out`, and the check stops once `out` differs, not once `early` does.
+    text = ("input in\noutput out\noutput early\ngate g1 XOR 1\ngate g2 NOT 1\n"
+            "gate g3 BUF 1\ngate g4 BUF 1\nwire in g1 0 1\nwire g4 g1 1 2\n"
+            "wire g1 g2 0 0\nwire g2 g3 0 0\nwire g3 g4 0 0\nwire g4 out 0 5\n"
+            "wire g2 early 0 0\n")
+    swapped = text.replace("output out\noutput early", "output early\noutput out")
+    for c in (1, 2, 3):
+        net = parse(text)
+        lag = min_period_retime(cslow_transform(net, c)).lag
+        report = check_equivalence(net, apply_retiming(cslow_transform(net, c), lag),
+                                   trials=4, cycles=60, warmup=0, factor=c)
+        net = parse(swapped)
+        other = check_equivalence(net, apply_retiming(cslow_transform(net, c), lag),
+                                  trials=4, cycles=60, warmup=0, factor=c)
+        assert report.mismatch[0] == "out" and other.mismatch[0] == "early"
+        assert other.mismatch[1] < report.mismatch[1]
+        assert report.simulated < -(-60 // c)
+
+
 def _ratio_cases():
     """gennet netlists with loops, with and without inverting gates in them,
     and the corpus circuits."""
