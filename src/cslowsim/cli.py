@@ -219,26 +219,19 @@ def cycle_limit(text) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cslowsim",
-        description="Microcoded accumulator core, C-slow barrel execution, "
-                    "and netlist retiming tools")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("asm", help="assemble a source program to a memory image")
+def _asm_arguments(p):
     p.add_argument("source")
     p.add_argument("out")
     p.add_argument("--origin", type=address, default=0)
-    p.set_defaults(func=cmd_asm)
 
-    p = sub.add_parser("run", help="run one image on the baseline core")
+
+def _run_arguments(p):
     p.add_argument("image")
     p.add_argument("--max-cycles", type=cycle_limit, default=100_000)
     p.add_argument("--trace", help="write a cycle trace to this file")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("run-cslow", help="run a C-slow machine")
+
+def _run_cslow_arguments(p):
     p.add_argument("images", nargs="*", help="memory image files, one per thread")
     p.add_argument("--bundle", help="cslow-bundle file instead of image files")
     p.add_argument("--c", type=int, help="thread count (default: image count)")
@@ -246,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=cycle_limit, default=1_000_000,
                    help="fast-cycle budget")
     p.add_argument("--trace", help="trace file (C=1) or prefix for per-thread files")
-    p.set_defaults(func=cmd_run_cslow)
 
-    p = sub.add_parser("bench", help="sequential-sum vs C-slow-rounds sweep")
+
+def _bench_arguments(p):
     p.add_argument("programs", nargs="*", help="assembly source files")
     p.add_argument("--c-values", help="comma-separated thread counts (default 1..N)")
     p.add_argument("--mode", choices=[m.value for m in cslow.MemoryMode],
@@ -256,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=cycle_limit, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", help="write the machine-readable report here")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("retime", help="C-slow / pipeline / min-period retime a netlist")
+
+def _retime_arguments(p):
     p.add_argument("netlist")
     p.add_argument("--cslow", type=int, metavar="C",
                    help="multiply every register C times before retiming "
@@ -272,13 +265,43 @@ def build_parser() -> argparse.ArgumentParser:
                         "clock (default: warm-up, plus pipeline shift, plus 256 "
                         "compared cycles)")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_retime)
 
+
+# name -> (help, handler, the function adding its arguments)
+COMMANDS = {
+    "asm": ("assemble a source program to a memory image", cmd_asm, _asm_arguments),
+    "run": ("run one image on the baseline core", cmd_run, _run_arguments),
+    "run-cslow": ("run a C-slow machine", cmd_run_cslow, _run_cslow_arguments),
+    "bench": ("sequential-sum vs C-slow-rounds sweep", cmd_bench, _bench_arguments),
+    "retime": ("C-slow / pipeline / min-period retime a netlist", cmd_retime,
+               _retime_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with a `command` of `COMMANDS`,
+    one where only that subcommand has its arguments.  The others keep
+    their names and help, and argparse parses a subcommand's arguments
+    with that subcommand's parser alone, so a command line that starts
+    with `command` parses, prints and fails the same either way."""
+    parser = _Parser(
+        prog="cslowsim",
+        description="Microcoded accumulator core, C-slow barrel execution, "
+                    "and netlist retiming tools")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A call pays only for its own subcommand's arguments.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):

@@ -582,9 +582,11 @@ def test_retime_output_declared_before_its_input(tmp_path, capsys):
     ("ring", ["--cslow", "3"]), ("chain", ["--pipeline", "2"]), ("random86", [])])
 def test_retime_check_simulates_original_and_final(capsys, monkeypatch, circuit, flags):
     # One check per run, the final netlist against the original itself.  A
-    # retiming of the C-slowed original runs in the original's own lanes,
-    # so only the original is simulated and the final one never compiled;
-    # a pipeline, shifted, simulates both.
+    # retiming of the C-slowed original that moves no inverting gate (the
+    # ring's) is certified: nothing is simulated or compiled.  One that
+    # moves one (random86's) runs in the original's own lanes, so only the
+    # original is simulated and the final one never compiled; a pipeline,
+    # shifted, simulates both.
     from conftest import CORPUS
     from cslowsim import netlist, retime
     path = CORPUS / "circuits" / (circuit + ".net")
@@ -596,7 +598,7 @@ def test_retime_check_simulates_original_and_final(capsys, monkeypatch, circuit,
         return real_simulate(net, *args, **kwargs)
 
     def recording(a, b, *args, **kwargs):
-        checked.append(b)
+        checked.append((a, b))
         return real_check(a, b, *args, **kwargs)
 
     monkeypatch.setattr(retime, "simulate", counting)
@@ -608,22 +610,30 @@ def test_retime_check_simulates_original_and_final(capsys, monkeypatch, circuit,
         final = retime.pipeline(original, 2)
         assert simulated == [original, final]
     else:
-        slowed = retime.cslow_transform(original, 3 if flags else 1)
+        c = 3 if flags else 1
+        slowed = retime.cslow_transform(original, c)
         final = retime.min_period_retime(slowed).netlist
         assert final != slowed
-        assert simulated == [original]
-        assert checked[0]._simulator is None
-    assert checked == [final]
+        lag = retime.recover_lags(original, final, c)
+        moved = any(lag[n] for n, node in original.nodes.items() if node.kind.inverting)
+        assert moved == (circuit == "random86")
+        assert simulated == ([original] if moved else [])
+        assert checked[0][1]._simulator is None
+        assert (checked[0][0]._simulator is None) is not moved
+    assert [b for _, b in checked] == [final]
 
 
-@pytest.mark.parametrize("argv, option", [
+BAD_ARGUMENTS = [
     (["run"], "image"),
     (["retime", "ring.net", "--cslow", "abc"], "--cslow"),
     (["asm", "a.asm", "o.hex", "--origin", "zz"], "--origin"),
     (["run", "a.hex", "--max-cycles", "0"], "--max-cycles"),
     (["run-cslow", "a.hex", "--max-cycles", "0"], "--max-cycles"),
     (["bench", "a.asm", "--max-cycles", "-5"], "--max-cycles"),
-    (["bench", "a.asm", "--max-cycles", "abc"], "--max-cycles")])
+    (["bench", "a.asm", "--max-cycles", "abc"], "--max-cycles")]
+
+
+@pytest.mark.parametrize("argv, option", BAD_ARGUMENTS)
 def test_argument_error_is_usage_error(capsys, argv, option):
     # argparse's own code, 2, is the CLI's "cycle limit exceeded".
     with pytest.raises(SystemExit) as exc:
@@ -640,6 +650,35 @@ def test_help_exits_0(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     assert "usage: cslowsim" in capsys.readouterr().out
+
+
+def test_parser_of_one_command_reads_as_the_full_one(capsys, monkeypatch):
+    # `main` builds only the named subcommand's arguments.  Help, usage,
+    # errors and exit codes must be the full parser's byte for byte, and a
+    # valid command line must parse to the same arguments.
+    exits = [["--help"], [], ["nope"], ["nope", "--help"], ["--help", "retime"],
+             *([name, "--help"] for name in cli.COMMANDS),
+             *(argv for argv, _ in BAD_ARGUMENTS)]
+    full_parser = cli.build_parser
+
+    def outcome(argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    for argv in exits:
+        lazy = outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda command=None: full_parser())
+            assert outcome(argv) == lazy, argv
+    valid = [["asm", "a.asm", "o.hex", "--origin", "0x10"], ["run", "a.hex", "--trace", "t"],
+             ["run-cslow", "a.hex", "b.hex", "--c", "2", "--mode", "tagged"],
+             ["bench", "a.asm", "--c-values", "1,2", "--json", "r.json"],
+             ["retime", "ring.net", "--cslow", "3", "--check", "5", "--seed", "2"]]
+    assert [argv[0] for argv in valid] == list(cli.COMMANDS)
+    for argv in valid:
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == \
+            vars(full_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("count", ["0", "-2", "4"])

@@ -523,8 +523,10 @@ def test_lag_shifted_lanes_are_the_retimed_netlist(monkeypatch):
 
 def test_decided_check_equals_full_and_direct_checks(monkeypatch):
     # The lag-shifted check stops once its report is decided: when the two
-    # lane halves agree, or when the first output differs.  Its report must
-    # be the full run's and the direct two-netlist check's.
+    # lane halves agree, or when the first output differs; a retiming that
+    # moves no inverting gate is certified before anything runs.  Its
+    # report must be the full run's (no certificate, no stop) and the
+    # direct two-netlist check's.
     rng = random.Random(30)
     cases = [(a, c, b, cycles, rng.randrange(cycles))
              for a, c, b, cycles, _ in _lag_cases()]
@@ -536,7 +538,8 @@ def test_decided_check_equals_full_and_direct_checks(monkeypatch):
     at_start = agreed = differed = ran_out = 0
     for i, (a, c, b, cycles, warmup) in enumerate(cases):
         report = check_equivalence(a, b, 2, cycles, warmup, seed=i, factor=c)
-        with monkeypatch.context() as m:  # no probe, so no stop
+        with monkeypatch.context() as m:  # no certificate and no probe, so no stop
+            m.setattr(retime, "keeps_inverting_gates", lambda *args: False)
             m.setattr(retime, "simulate",
                       lambda *args, probe=None, **kwargs: simulate(*args, **kwargs))
             full = check_equivalence(a, b, 2, cycles, warmup, seed=i, factor=c)
@@ -549,7 +552,7 @@ def test_decided_check_equals_full_and_direct_checks(monkeypatch):
         if report.simulated == full.simulated:
             ran_out += 1
         elif report.passed:
-            at_start += not report.simulated  # as when no inverting gate moves
+            at_start += not report.simulated  # certified: no inverting gate moves
             agreed += report.simulated > 0
         else:
             differed += report.mismatch[0] == a.outputs()[0]
@@ -600,6 +603,42 @@ def test_decided_check_names_the_first_output():
         assert report.mismatch[0] == "out" and other.mismatch[0] == "early"
         assert other.mismatch[1] < report.mismatch[1]
         assert report.simulated < -(-60 // c)
+
+
+def test_certified_check_is_the_direct_check_and_the_reference(monkeypatch):
+    # A retiming of the C-slowed original whose lags leave every inverting
+    # gate at 0 is certified without simulating anything.  With inverting
+    # gates in loops, each certified case must pass the direct two-netlist
+    # check from cycle 0 and equal the C-slowed original in the reference
+    # simulator from cycle 0.  A moved inverting gate, or one changed
+    # weight (no retiming at all), must still be simulated.
+    rng = random.Random(31)
+    certified = moved = changed = 0
+    for i in range(120):
+        c = 1 + i % 3
+        net = gennet.random_netlist(rng, max_gates=6, safe_loops=False)
+        slowed = cslow_transform(net, c)
+        b = apply_retiming(slowed, _random_lags(net, c, rng, 6, i % 2 == 0))
+        if i % 5 == 4:
+            e = rng.randrange(len(b.weights))
+            b = b.with_weights([w + (j == e) for j, w in enumerate(b.weights)])
+        cycles = rng.randint(1, 40)
+        report = check_equivalence(net, b, 4, cycles, warmup=0, seed=i, factor=c)
+        lag = recover_lags(net, b, c)
+        if lag is None or any(lag[n] for n, node in net.nodes.items() if node.kind in INVERTING):
+            assert report.simulated > 0, i
+            moved += lag is not None
+            changed += lag is None
+            continue
+        certified += 1
+        assert report == retime.EquivalenceReport(True, 0, 4, cycles) and not report.simulated
+        with monkeypatch.context() as m:
+            m.setattr(retime, "recover_lags", lambda *args: None)
+            direct = check_equivalence(net, b, 4, cycles, warmup=0, seed=i, factor=c)
+        assert direct == report and direct.simulated, i
+        lane = {name: [rng.getrandbits(1) for _ in range(cycles)] for name in net.inputs()}
+        assert refnet.simulate_lane(b, lane, cycles) == refnet.simulate_lane(slowed, lane, cycles), i
+    assert certified and moved and changed  # each branch taken
 
 
 def _ratio_cases():
