@@ -74,17 +74,15 @@ def cmd_asm(args) -> int:
     return EXIT_OK
 
 
-def _run_report(images, config, trace_paths=None):
+def _print_run(config, images, trace_paths):
     machine = cslow.CslowMachine(config, images)
-    machine.run_all(trace_paths)
-    return cslow.machine_report(machine, cslow.sequential_cycles(machine, images))
+    _print_json(cslow.machine_report(machine, machine.run_all(trace_paths)))
 
 
 def cmd_run(args) -> int:
     image = _load_image(args.image)
     config = cslow.CslowConfig(1, cslow.MemoryMode.PRIVATE, args.max_cycles)
-    report = _run_report([image], config, [args.trace] if args.trace else None)
-    _print_json(report)
+    _print_run(config, [image], [args.trace] if args.trace else None)
     return EXIT_OK
 
 
@@ -108,8 +106,7 @@ def cmd_run_cslow(args) -> int:
     if args.trace:
         trace_paths = ([args.trace] if c == 1 else
                        ["%s.t%d.trc" % (args.trace, t) for t in range(c)])
-    report = _run_report(images, config, trace_paths)
-    _print_json(report)
+    _print_run(config, images, trace_paths)
     return EXIT_OK
 
 
@@ -132,21 +129,21 @@ def cmd_bench(args) -> int:
                              "per thread" % (n, len(images)))
     mode = cslow.MemoryMode(args.mode)
 
-    halts = {}  # one run per distinct image over all rows
+    memo = {}  # one run per distinct image over all rows
     rows = []
-    print("n_threads sequential_sum cslow_rounds fast_cycles speedup")
     for n in c_values:
-        result = cslow.compare(images[:n], n, mode, args.max_cycles, halts)
+        result = cslow.compare(images[:n], n, mode, args.max_cycles, memo)
         rows.append({
             "n_threads": n,
-            "sequential_sum": result.sum,
-            "cslow_rounds": result.max_rounds,
-            "fast_cycles_total": result.fast_cycles,
+            "sequential_sum": result.sequential_sum,
+            "cslow_rounds": result.rounds,
+            "fast_cycles_total": result.fast_cycles_total,
             "speedup": float(result.speedup),
         })
-        print("%9d %14d %12d %11d %7.3f"
-              % (n, result.sum, result.max_rounds, result.fast_cycles,
-                 float(result.speedup)))
+    # Every row has run before any is printed: a row that fails leaves no table.
+    print("n_threads sequential_sum cslow_rounds fast_cycles speedup")
+    for row in rows:
+        print("%9d %14d %12d %11d %7.3f" % tuple(row.values()))
     report = {"mode": mode.value, "seed": args.seed, "rows": rows}
     if args.json:
         with microcode.overwrite(args.json, "w") as fh:

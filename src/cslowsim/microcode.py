@@ -473,12 +473,14 @@ def advance(state: CoreState, mem, max_cycles: int) -> bool:
     """Step `state` on the cell store `mem` until it enters the halt row or
     its cycle count reaches `max_cycles`; True when it halted.
 
-    This is the one core loop: `run` and the barrel's `run_all`, in every
-    memory mode, drive it, untraced.  Rows run up to the first Fetch (from
-    reset, the reset row alone), then the generated instruction loop runs
-    whole instructions while the costliest one (`WORST` rows) still fits
-    under `max_cycles`, and rows run the rest: the same states, cycle for
-    cycle.
+    This is the one core loop, untraced.  The barrel's `run_all`, the one
+    run path of the `run` and `run-cslow` commands and of every `bench`
+    row, drives it in every memory mode, once per group of threads with
+    equal starting cells; the plain-core `run` drives it too.  Rows run up
+    to the first Fetch (from reset, the reset row alone), then the
+    generated instruction loop runs whole instructions while the costliest
+    one (`WORST` rows) still fits under `max_cycles`, and rows run the
+    rest: the same states, cycle for cycle.
     """
     table = _STEP_TABLE
     while (state.micro_pc != FETCH and state.micro_pc != HALT_SEQ

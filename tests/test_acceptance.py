@@ -146,15 +146,15 @@ def test_criterion_3_thread_isolation(random_programs, tmp_path):
                 machine = CslowMachine(
                     CslowConfig(c, mode, 10_000_000),
                     [images[i] for i in group])
-                metrics = machine.run_all(paths[:c])
+                result = machine.run_all(paths[:c])
                 for slot, prog in enumerate(group):
                     cycles, memory, text = baselines[prog]
-                    assert metrics.per_thread_cycles[slot] == cycles
+                    assert result.per_thread_cycles[slot] == cycles
                     got = paths[slot].read_text()
                     assert got.startswith(text)
                     assert all(line.split()[1] == "52"
                                for line in got[len(text):].splitlines())
-                    assert bytes(machine.thread_memory(slot).cells) == memory
+                    assert bytes(result.memories[slot]) == memory
                     checked += 1
     _report(3, "%d thread runs bit-identical to their baselines "
                "(200 programs x C in {1,2,3,4,8} x {private, tagged})" % checked)
@@ -256,12 +256,12 @@ def test_criterion_8_degeneracy(tmp_path, corpus_programs, capsys):
     baseline = run(image)
     machine = CslowMachine(CslowConfig(1, MemoryMode.PRIVATE), [image])
     trace_m = tmp_path / "m.trc"
-    metrics = machine.run_all([trace_m])
-    assert metrics.per_thread_cycles == [baseline.cycles]
-    assert metrics.fast_cycles_total == baseline.cycles
+    result = machine.run_all([trace_m])
+    assert result.per_thread_cycles == (baseline.cycles,)
+    assert result.fast_cycles_total == baseline.cycles
     assert trace_m.read_text() == format_trace(image_trace(image)[3])
-    assert machine.thread_memory(0) == baseline.memory
-    assert machine.contexts[0].snapshot() == baseline.state.snapshot()
+    assert result.memories[0] == baseline.memory.cells
+    assert result.states[0].snapshot() == baseline.state.snapshot()
 
     img_path = tmp_path / "p.hex"
     img_path.write_text(image.to_text())

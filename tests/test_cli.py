@@ -13,7 +13,7 @@ import genprog
 from reftrace import format_trace, image_trace, write_bundle
 from cslowsim import cli, cslow
 from cslowsim.cslow import MemoryMode
-from cslowsim.isa import MemoryImage, assemble
+from cslowsim.isa import MemoryImage, assemble, disassemble
 from cslowsim.microcode import run
 
 
@@ -134,7 +134,15 @@ def test_shared_traces_are_the_plain_core_trace(c, tmp_path, corpus_programs, ca
     code, _, stderr = run_cli(capsys, ["run-cslow", str(image), "--mode", "shared",
                                        "--c", str(c), "--trace", str(prefix),
                                        "--max-cycles", str(h * c - 1)])
+    # The last thread stops a step short of its halt, in the state of the
+    # plain core's last trace line; no step of the halting instruction
+    # writes memory, so the instruction at its pc reads as in the final one.
+    pc = int(base.read_text().splitlines()[-1].split()[2], 16)
+    memory = run(MemoryImage.from_text(image.read_text())).memory
+    where = "; thread %d at pc 0x%02x: %s" % (
+        c - 1, pc, disassemble(memory, pc, 2).splitlines()[0])
     assert code == 2 and "not halted" in stderr
+    assert stderr.endswith(where + "\n"), stderr
     assert list(tmp_path.glob("tp*")) == []
 
 
@@ -381,8 +389,10 @@ def test_bench_corpus_sum_vs_max(tmp_path, corpus_programs, capsys):
 @pytest.mark.parametrize("mode, picks", [
     ("private", (0, 1, 0, 2, 1, 0)), ("tagged", (2, 2, 0, 1, 0, 1)), ("shared", (0,) * 4)])
 def test_bench_runs_each_program_once(mode, picks, tmp_path, capsys, monkeypatch):
-    # Rows share their runs: one `cslow.run` per distinct program over the
-    # whole sweep, and each row is the row `bench` gives for its C alone.
+    # Rows share their runs: one `advance` per distinct program over the
+    # whole sweep, within the budget of the first row that has it, where it
+    # is the last thread; and each row is the row `bench` gives for its C
+    # alone.
     sources = [genprog.nested_loop(2, 30), SHORT, genprog.nested_loop(3, 11)]
     paths = []
     for i, pick in enumerate(picks):
@@ -390,14 +400,17 @@ def test_bench_runs_each_program_once(mode, picks, tmp_path, capsys, monkeypatch
         path.write_text(sources[pick])
         paths.append(str(path))
     runs = []
-    def counted(image, *args, _real=cslow.run, **kwargs):
-        runs.append(bytes(image.cells))
-        return _real(image, *args, **kwargs)
-    monkeypatch.setattr(cslow, "run", counted)
+    def counted(state, mem, max_cycles, _real=cslow.advance):
+        runs.append((bytes(mem), max_cycles))
+        return _real(state, mem, max_cycles)
+    monkeypatch.setattr(cslow, "advance", counted)
+    monkeypatch.setattr(cslow, "run", None)  # no plain-core run
     report = tmp_path / "bench.json"
     code, _, _ = run_cli(capsys, ["bench", *paths, "--mode", mode, "--json", str(report)])
     assert code == 0
-    assert len(runs) == len(set(runs)) == len(set(picks))
+    firsts = [picks.index(i) for i in dict.fromkeys(picks)]
+    assert runs == [(bytes(assemble(sources[picks[t]]).cells), cslow.slots(1_000_000, t, t + 1))
+                    for t in firsts]
     rows = json.loads(report.read_text())["rows"]
     assert [row["n_threads"] for row in rows] == list(range(1, len(picks) + 1))
     for row in rows:
@@ -407,17 +420,43 @@ def test_bench_runs_each_program_once(mode, picks, tmp_path, capsys, monkeypatch
         assert json.loads(report.read_text())["rows"] == [row]
 
 
+def test_benchmark_tracer_patch_points(tmp_path, corpus_programs, capsys, monkeypatch):
+    # The benchmark's tracer (bench/tracer.py) wraps package functions by
+    # name, so a renamed or deleted one fails its traced runs: `run-cslow`
+    # and `bench` go through the wrapped `run_all` and `compare`.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracer
+
+    image = tmp_path / "chain.hex"
+    assert run_cli(capsys, ["asm", str(corpus_programs[0]), str(image)])[0] == 0
+    modules = {name: getattr(cli, name)
+               for name in ("cslow", "isa", "microcode", "netlist", "retime")}
+    spans = tracer.Tracer(modules | {"cli": cli})
+    spans.install()
+    try:
+        assert run_cli(capsys, ["run-cslow", str(image), str(image)])[0] == 0
+        assert run_cli(capsys, ["bench", *map(str, corpus_programs)])[0] == 0
+    finally:
+        spans.uninstall()
+    names = {span.name for span in spans.take()}
+    assert {"cli.main", "cslow.run_all.private", "cslow.compare"} <= names
+
+
 @pytest.mark.parametrize("mode", ["private", "tagged"])
-def test_bench_cycle_limit_exits_2_at_row(corpus_programs, mode, capsys):
+def test_bench_cycle_limit_exits_2_at_row(corpus_programs, mode, tmp_path, capsys):
     # Exactly enough fast cycles for row C=1; at C=2 thread 0 gets half.
+    # Every row runs before any is printed: a failed row leaves no table
+    # on stdout and no report.
     limit = run(assemble(corpus_programs[0].read_text())).cycles
-    code, stdout, stderr = run_cli(
-        capsys, ["bench", *map(str, corpus_programs), "--mode", mode,
-                 "--c-values", "1,2,3", "--max-cycles", str(limit)])
-    assert code == 2
-    header, row = stdout.splitlines()
-    assert row.split()[:3] == ["1", str(limit), str(limit)]
+    argv = ["bench", *map(str, corpus_programs), "--mode", mode,
+            "--max-cycles", str(limit), "--json", str(tmp_path / "bench.json")]
+    code, stdout, stderr = run_cli(capsys, argv + ["--c-values", "1,2,3"])
+    assert (code, stdout) == (2, "")
+    assert not (tmp_path / "bench.json").exists()
     assert "threads [0" in stderr and str(limit) in stderr
+    code, stdout, _ = run_cli(capsys, argv + ["--c-values", "1"])
+    header, row = stdout.splitlines()
+    assert code == 0 and row.split()[:3] == ["1", str(limit), str(limit)]
 
 
 def test_bench_no_programs_is_usage_error(capsys):
@@ -691,12 +730,14 @@ def test_bench_thread_count_out_of_range_is_usage_error(corpus_programs, capsys,
                       "per thread\n" % count)
 
 
-def test_bench_shared_needs_one_image(corpus_programs, capsys):
+def test_bench_shared_needs_one_image(corpus_programs, tmp_path, capsys):
+    # Row 1 runs, row 2 is refused, and neither is printed or reported.
+    report = tmp_path / "bench.json"
     code, stdout, stderr = run_cli(
-        capsys, ["bench", *map(str, corpus_programs[:2]), "--mode", "shared"])
-    assert code == 1
-    assert stdout == ("n_threads sequential_sum cslow_rounds fast_cycles speedup\n"
-                      "        1             78           78          78   1.000\n")
+        capsys, ["bench", *map(str, corpus_programs[:2]), "--mode", "shared",
+                 "--json", str(report)])
+    assert (code, stdout) == (1, "")
+    assert not report.exists()
     assert stderr == ("error: shared memory needs one image; "
                       "image 1 differs from image 0\n")
 

@@ -14,18 +14,17 @@ from cslowsim import cslow, microcode
 from cslowsim.cslow import (
     MAX_THREADS,
     BadThreadCount,
-    CompareResult,
+    BarrelRun,
     CslowConfig,
     CslowMachine,
     ImageMismatch,
     MemoryMode,
-    RunMetrics,
     compare,
     machine_report,
     read_bundle,
     sequential_baseline,
 )
-from cslowsim.isa import MEMORY_SIZE, MemoryImage, assemble, assemble_program
+from cslowsim.isa import MEMORY_SIZE, MemoryImage, assemble, assemble_program, disassemble
 from cslowsim.microcode import (
     MICROPROGRAM,
     CoreState,
@@ -51,10 +50,10 @@ def test_new_machine_validation():
     with pytest.raises(ImageMismatch):
         CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img, other])
     # one image, or C identical copies, both fine in shared mode
-    CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img])
+    assert CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img]).images == (img, img)
     CslowMachine(CslowConfig(2, MemoryMode.SHARED), [img, img.copy()])
     m = CslowMachine(CslowConfig(3, MemoryMode.PRIVATE), [img, other, img])
-    assert all(ctx.micro_pc == 0 for ctx in m.contexts)
+    assert m.images == (img, other, img)
 
 
 def test_round_robin_schedule():
@@ -68,34 +67,31 @@ def test_round_robin_schedule():
             assert after[t] - before[t] == (1 if t == tick % 3 else 0)
     assert ref.fast_cycles == 12
     machine = CslowMachine(CslowConfig(3, max_fast_cycles=12), imgs)
-    with pytest.raises(CycleLimitExceeded):
-        machine.run_all()
-    assert_same_machine(machine, ref)
-    with pytest.raises(ValueError):
-        machine.run_all()  # a machine runs once
+    assert_same_run(outcome(machine.run_all), ref)
+    # The machine holds no run state: it runs again from reset, the same way.
+    assert_same_run(outcome(machine.run_all), ref)
 
 
 def test_halted_thread_burns_idle_slots():
     fast = asm("HALT")
     slow = asm("CMA\nCMA\nCMA\nHALT")
-    machine = CslowMachine(CslowConfig(2), [fast, slow])
-    machine.run_all()
-    halted_at = machine.halt_cycle[0]
+    result = CslowMachine(CslowConfig(2), [fast, slow]).run_all()
+    halted_at = result.per_thread_cycles[0]
     assert halted_at == 8
-    # thread 0 kept ticking on the halt row afterwards
-    assert machine.contexts[0].cycles > halted_at
-    assert machine.contexts[0].halted
+    # thread 0 kept its slots, on the halt row, after its halt
+    assert cslow.slots(result.fast_cycles_total, 0, 2) > halted_at
+    assert result.states[0].halted and result.states[0].cycles == halted_at
+    assert result.vertical_waste > 0
 
 
 def test_tagged_mode_partitions_address_space():
     writer = assemble_program("LOAD V\nSTO T\nHALT\nV: .word 0xAB\nT: .word 0")
     target = writer.symbols["T"]
     idle = asm("HALT")
-    machine = CslowMachine(CslowConfig(2, MemoryMode.TAGGED), [idle, writer.image])
-    machine.run_all()
+    result = CslowMachine(CslowConfig(2, MemoryMode.TAGGED), [idle, writer.image]).run_all()
     # thread 1's partition written, thread 0's untouched
-    assert machine.thread_memory(1)[target] == 0xAB
-    assert machine.thread_memory(0)[target] == 0
+    assert result.memories[1][target] == 0xAB
+    assert result.memories[0][target] == 0
 
 
 def test_private_isolation_and_metrics():
@@ -103,7 +99,7 @@ def test_private_isolation_and_metrics():
     imgs = [asm(s) for s in sources]
     machine = CslowMachine(CslowConfig(3), imgs)
     metrics = machine.run_all()
-    base = [run(i).cycles for i in imgs]
+    base = tuple(run(i).cycles for i in imgs)
     assert metrics.per_thread_cycles == base
     assert metrics.rounds == max(base)
     assert 3 * (metrics.rounds - 1) < metrics.fast_cycles_total <= 3 * metrics.rounds
@@ -115,7 +111,7 @@ def test_private_isolation_and_metrics():
 def test_two_cma_threads_metrics():
     imgs = [asm("CMA\nHALT")] * 2
     metrics = CslowMachine(CslowConfig(2), imgs).run_all()
-    assert metrics.per_thread_cycles == [14, 14]  # 1 reset + 6 + 7
+    assert metrics.per_thread_cycles == (14, 14)  # 1 reset + 6 + 7
     assert metrics.rounds == 14
 
 
@@ -130,8 +126,8 @@ def test_c1_degenerates_to_baseline(tmp_path):
     assert metrics.rounds == metrics.fast_cycles_total == baseline.cycles
     assert path.read_text() == format_trace(trace)
     assert os.listdir(tmp_path) == ["t.trc"]
-    assert machine.thread_memory(0) == baseline.memory
-    assert machine.contexts[0].snapshot() == baseline.state.snapshot()
+    assert metrics.memories[0] == baseline.memory.cells
+    assert metrics.states[0].snapshot() == baseline.state.snapshot()
 
 
 # A traced shared run of a nested loop, in a fresh interpreter: prints the
@@ -144,8 +140,8 @@ from cslowsim.isa import assemble
 image = assemble(genprog.nested_loop(int(sys.argv[1]), 240))
 machine = CslowMachine(CslowConfig(2, MemoryMode.SHARED, 10**7), [image])
 with tempfile.TemporaryDirectory() as d:
-    machine.run_all([os.path.join(d, "t0"), os.path.join(d, "t1")])
-print(machine.metrics().rounds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    result = machine.run_all([os.path.join(d, "t0"), os.path.join(d, "t1")])
+print(result.rounds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -177,10 +173,13 @@ def test_sequential_baseline_sums():
 def test_compare_identical_threads_speedup_is_c():
     imgs = [asm("CMA\nINCA\nHALT")] * 3
     result = compare(imgs, 3)
-    assert isinstance(result, CompareResult)
+    assert isinstance(result, BarrelRun)
     assert result.speedup == 3
-    assert result.sum == 3 * result.max_rounds
+    assert result.sequential_sum == 3 * result.rounds
     assert compare(imgs[:1], 1).speedup == 1
+    # Shared memory: the sum is over the images given, one or C of them.
+    assert compare(imgs[:1], 3, MemoryMode.SHARED).sequential_sum == result.rounds
+    assert compare(imgs, 3, MemoryMode.SHARED).sequential_sum == 3 * result.rounds
 
 
 def test_compare_unbalanced_threads():
@@ -190,7 +189,7 @@ def test_compare_unbalanced_threads():
     result = compare([big, tiny, tiny], 3)
     n_big = run(big).cycles
     n_tiny = run(tiny).cycles
-    assert result.max_rounds == n_big
+    assert result.rounds == n_big
     assert result.speedup == Fraction(n_big + 2 * n_tiny, n_big)
     assert 1 < result.speedup < 2
 
@@ -201,7 +200,7 @@ def test_schedule_invariance_under_permutation():
     base = CslowMachine(CslowConfig(4), imgs).run_all()
     order = [2, 0, 3, 1]
     permuted = CslowMachine(CslowConfig(4), [imgs[i] for i in order]).run_all()
-    assert permuted.per_thread_cycles == [base.per_thread_cycles[i] for i in order]
+    assert permuted.per_thread_cycles == tuple(base.per_thread_cycles[i] for i in order)
     assert permuted.rounds == base.rounds
 
 
@@ -212,8 +211,7 @@ def test_shared_mode_deterministic_serialization():
     runs = []
     for _ in range(2):
         machine = CslowMachine(CslowConfig(2, MemoryMode.SHARED), [asmres.image])
-        machine.run_all()
-        runs.append(bytes(machine.thread_memory(0).cells))
+        runs.append(bytes(machine.run_all().memories[0]))
     assert runs[0] == runs[1]
     # Lockstep lost update: both threads load X before either stores, so each
     # round-trip doubles up on the same value.  Racy, legal, deterministic.
@@ -258,33 +256,37 @@ def test_no_row_reads_and_writes_memory():
 def test_shared_c1_matches_baseline():
     asmres = assemble_program("LOAD X\nINCA\nSTO X\nHALT\nX: .word 1")
     machine = CslowMachine(CslowConfig(1, MemoryMode.SHARED), [asmres.image])
-    machine.run_all()
-    assert machine.thread_memory(0) == run(asmres.image).memory
+    assert machine.run_all().memories[0] == run(asmres.image).memory.cells
 
 
 def test_run_all_cycle_limit_names_threads():
     runaway = asm("L: LOAD X\nSUB Z\nJOC L\nHALT\nX: .word 1\nZ: .word 0")
     done = asm("HALT")
-    machine = CslowMachine(CslowConfig(2, MemoryMode.PRIVATE,
-                                       max_fast_cycles=2000), [done, runaway])
+    config = CslowConfig(2, MemoryMode.PRIVATE, max_fast_cycles=2000)
     with pytest.raises(CycleLimitExceeded) as exc:
-        machine.run_all()
+        CslowMachine(config, [done, runaway]).run_all()
     assert exc.value.threads == [1]
-    assert exc.value.state == [machine.contexts[1]]
+    assert_same_run(exc.value, tick_oracle(config, [done, runaway], False)[0])
     assert not exc.value.state[0].halted
-    shared = CslowMachine(CslowConfig(2, MemoryMode.SHARED,
-                                      max_fast_cycles=2000), [runaway])
+    # The message names the stuck thread's pc and the instruction there
+    # (the loop writes no memory, so its image holds what the thread sees).
+    pc = exc.value.state[0].pc
+    assert str(exc.value) == ("threads [1] not halted within 2000 fast cycles; "
+                              "thread 1 at pc 0x%02x: %s"
+                              % (pc, disassemble(runaway, pc, 2).splitlines()[0]))
+    shared = CslowConfig(2, MemoryMode.SHARED, max_fast_cycles=2000)
     with pytest.raises(CycleLimitExceeded) as exc:
-        shared.run_all()
+        CslowMachine(shared, [runaway]).run_all()
     assert exc.value.threads == [0, 1]
-    assert exc.value.state == shared.contexts
+    assert_same_run(exc.value, tick_oracle(shared, [runaway], False)[0])
+    assert str(exc.value).count("; thread ") == 2
 
 
 def test_machine_report_fields():
     imgs = [asm("CMA\nHALT"), asm("INCA\nHALT")]
     machine = CslowMachine(CslowConfig(2), imgs)
-    machine.run_all()
-    report = machine_report(machine, sequential_baseline(imgs))
+    report = machine_report(machine, machine.run_all())
+    assert report["sequential_sum"] == sequential_baseline(imgs)
     for key in ("c", "mode", "per_thread_cycles", "rounds", "fast_cycles_total",
                 "occupancy", "vertical_waste", "sequential_sum", "speedup",
                 "threads"):
@@ -346,14 +348,17 @@ class RoundRobin:
             self.halt_cycle[t] = ctx.cycles
         self.fast_cycles += 1
 
-    def thread_memory(self, thread):
-        return MemoryImage(self.stores[thread])
-
     def metrics(self):
         total = self.fast_cycles
         busy = sum(self.halt_cycle)
-        return RunMetrics(list(self.halt_cycle), max(self.halt_cycle), total,
-                          Fraction(busy, total), Fraction(total - busy, total))
+        return (tuple(self.halt_cycle), max(self.halt_cycle), total,
+                Fraction(busy, total), Fraction(total - busy, total))
+
+
+def metrics(result):
+    """A BarrelRun's schedule figures, as `RoundRobin.metrics` has them."""
+    return (result.per_thread_cycles, result.rounds, result.fast_cycles_total,
+            result.occupancy, result.vertical_waste)
 
 
 def tick_oracle(config, images, trace):
@@ -368,44 +373,60 @@ def tick_oracle(config, images, trace):
 
 
 def outcome(call):
-    """The call's result, or the threads named by its CycleLimitExceeded."""
+    """The call's result, or the CycleLimitExceeded it raised."""
     try:
         return call()
     except CycleLimitExceeded as exc:
-        return exc.threads
+        return exc
 
 
-def machine_compare(images, c, mode, max_cycles=cslow.DEFAULT_MAX_FAST_CYCLES):
-    """`compare` as the machine has it: its run's rounds and fast cycles
-    against the images' sequential sum, or the threads its
-    CycleLimitExceeded names."""
-    machine = CslowMachine(CslowConfig(c, mode, max_cycles), images)
-    metrics = outcome(machine.run_all)
-    if isinstance(metrics, list):
-        return metrics
-    seq = cslow.sequential_cycles(machine, images)
-    return CompareResult(seq, metrics.rounds, metrics.fast_cycles_total,
-                         Fraction(seq, metrics.rounds))
+def row(result):
+    """A `bench` row of `compare`'s result: its schedule figures, the
+    sequential sum and the speedup, or the threads its CycleLimitExceeded
+    names."""
+    if isinstance(result, CycleLimitExceeded):
+        return result.threads
+    return metrics(result), result.sequential_sum, result.speedup
+
+
+def oracle_row(images, n, mode, max_cycles=cslow.DEFAULT_MAX_FAST_CYCLES):
+    """The `bench` row for the first `n` images as the tick loop has it, the
+    sequential sum from plain-core runs, or the threads left running."""
+    ref, stuck = tick_oracle(CslowConfig(n, mode, max_cycles), images[:n], False)
+    if stuck:
+        return stuck
+    seq = sum(run(img).cycles for img in images[:n])
+    return ref.metrics(), seq, Fraction(seq, max(ref.halt_cycle))
 
 
 def trace_paths(directory, c):
     return [os.path.join(directory, "t%d.trc" % t) for t in range(c)]
 
 
-def assert_same_machine(machine, ref, directory=None):
-    """`machine` ran as the tick loop `ref` did; if it was traced into
+def assert_same_run(result, ref, directory=None):
+    """`result`, a BarrelRun or the CycleLimitExceeded a run raised, is the
+    run the tick loop `ref` made.  A halted run has its figures, and each
+    thread its state at its own halt and its store; a stopped one names the
+    threads left running, with their states.  If the run was traced into
     `directory`, every thread's file holds the tick loop's snapshots when
     the run ended in a halt, and the directory stays empty when a limit
     stopped it."""
-    assert machine.fast_cycles == ref.fast_cycles
-    assert machine.halt_cycle == ref.halt_cycle
-    assert [x.snapshot() for x in machine.contexts] == [x.snapshot() for x in ref.contexts]
-    for t in range(machine.c):
-        assert machine.thread_memory(t) == ref.thread_memory(t)
+    stuck = [t for t, h in enumerate(ref.halt_cycle) if h is None]
+    if stuck:
+        assert isinstance(result, CycleLimitExceeded)
+        assert result.threads == stuck
+        assert [s.snapshot() for s in result.state] == \
+            [ref.contexts[t].snapshot() for t in stuck]
+    else:
+        assert metrics(result) == ref.metrics()
+        # The tick loop's halted threads went on ticking on the halt row.
+        assert [s.snapshot() for s in result.states] == \
+            [(h,) + x.snapshot()[1:] for h, x in zip(ref.halt_cycle, ref.contexts)]
+        assert list(result.memories) == ref.stores
     if directory is None:
         return
-    paths = trace_paths(directory, machine.c)
-    if None in ref.halt_cycle:
+    paths = trace_paths(directory, ref.c)
+    if stuck:
         assert os.listdir(directory) == []
     else:
         assert sorted(os.listdir(directory)) == sorted(map(os.path.basename, paths))
@@ -418,7 +439,7 @@ def assert_same_machine(machine, ref, directory=None):
 
 def traced_run_all(machine, directory):
     """`machine.run_all`, traced into `directory` if one is given."""
-    return machine.run_all(trace_paths(directory, machine.c) if directory else None)
+    return machine.run_all(trace_paths(directory, machine.config.c) if directory else None)
 
 
 @settings(max_examples=90, deadline=None)
@@ -444,8 +465,7 @@ def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
         directory = scratch if trace else None
         # The limit edge: exactly enough fast cycles passes ...
         machine = CslowMachine(CslowConfig(c, mode, total), images)
-        assert traced_run_all(machine, directory) == ref.metrics()
-        assert_same_machine(machine, ref, directory)
+        assert_same_run(traced_run_all(machine, directory), ref, directory)
 
         # ... and one fewer stops where the tick loop stops, naming the
         # same threads and carrying their states, and writes no file.
@@ -454,37 +474,32 @@ def test_run_all_matches_tick_loop(seeds, picks, mode, trace, cut):
         machine = CslowMachine(short, images)
         with pytest.raises(CycleLimitExceeded) as exc:
             traced_run_all(machine, directory)
-        assert stuck and exc.value.threads == stuck
-        assert exc.value.state == [machine.contexts[t] for t in stuck]
-        assert_same_machine(machine, ref, directory)
-        # `bench` rows under that limit, rows 1..C in turn on one `halts`:
-        # each one as its machine has it, and the last one stopped on the
-        # same threads.
-        halts = {}
+        assert stuck
+        assert_same_run(exc.value, ref, directory)
+        # `bench` rows under that limit, rows 1..C in turn on one memo: each
+        # one as the tick loop has it, and the last one stopped on the same
+        # threads.
+        memo = {}
         for n in range(1, c + 1):
-            row = outcome(lambda: compare(images[:n], n, mode, total - 1, halts))
-            assert row == machine_compare(images[:n], n, mode, total - 1)
-        assert row == stuck
+            got = row(outcome(lambda: compare(images[:n], n, mode, total - 1, memo)))
+            assert got == oracle_row(images, n, mode, total - 1)
+        assert got == stuck
 
         # A limit anywhere in the run (`cut` thousandths of the way) stops,
         # or passes, as the tick loop does.
         mid = CslowConfig(c, mode, 1 + cut * (total - 1) // 1000)
         ref, stuck = tick_oracle(mid, images, trace)
         machine = CslowMachine(mid, images)
-        assert outcome(lambda: traced_run_all(machine, directory)) == (stuck or ref.metrics())
-        assert_same_machine(machine, ref, directory)
+        assert_same_run(outcome(lambda: traced_run_all(machine, directory)), ref, directory)
 
-    # `bench` rows: one `compare` per C, alone and on one `halts` for all
-    # rows, each as the tick loop has it, and so is each row's machine.
-    halts = {}
+    # `bench` rows: one `compare` per C, alone and on one memo for all rows,
+    # each as the tick loop has it, and so is each row's machine.
+    memo = {}
     for n in range(1, c + 1):
-        ref, _ = tick_oracle(CslowConfig(n, mode), images[:n], False)
-        seq = sum(run(img).cycles for img in images[:n])
-        rounds = max(ref.halt_cycle)
-        expected = CompareResult(seq, rounds, ref.fast_cycles, Fraction(seq, rounds))
-        assert compare(images[:n], n, mode) == expected
-        assert compare(images[:n], n, mode, halts=halts) == expected
-        assert CslowMachine(CslowConfig(n, mode), images[:n]).run_all() == ref.metrics()
+        expected = oracle_row(images, n, mode)
+        assert row(compare(images[:n], n, mode)) == expected
+        assert row(compare(images[:n], n, mode, memo=memo)) == expected
+        assert row(CslowMachine(CslowConfig(n, mode), images[:n]).run_all()) == expected
 
 
 def test_shared_run_at_every_limit(tmp_path):
@@ -501,8 +516,7 @@ def test_shared_run_at_every_limit(tmp_path):
         ref, stuck = tick_oracle(config, [image], trace)
         machine = CslowMachine(config, [image])
         directory = tmp_path if trace else None
-        assert outcome(lambda: traced_run_all(machine, directory)) == (stuck or ref.metrics())
-        assert_same_machine(machine, ref, directory)
+        assert_same_run(outcome(lambda: traced_run_all(machine, directory)), ref, directory)
 
 
 # Which program each of eight threads starts from: distinct ones, one for
@@ -530,9 +544,8 @@ def test_run_all_advance_calls(mode, picks, monkeypatch, tmp_path):
     firsts = [picks.index(i) for i in dict.fromkeys(picks)]
     for paths in (None, trace_paths(tmp_path, len(picks))):
         calls["advance"].clear()
-        machine = CslowMachine(CslowConfig(len(picks), mode), images)
-        machine.run_all(paths)
-        assert calls["advance"] == [machine.contexts[t] for t in firsts]
+        result = CslowMachine(CslowConfig(len(picks), mode), images).run_all(paths)
+        assert calls["advance"] == [result.states[t] for t in firsts]
     # Traced, one traced pass per distinct image, named by the first
     # thread's file.
     assert calls["write_trace"] == [paths[t] for t in firsts]
@@ -541,9 +554,25 @@ def test_run_all_advance_calls(mode, picks, monkeypatch, tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
     for t, path in enumerate(paths):
         _, state, _, trace = image_trace(programs[picks[t]])
-        pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, machine.contexts[t].cycles)]
+        end = cslow.slots(result.fast_cycles_total, t, len(picks))
+        pad = [(k,) + state.snapshot()[1:] for k in range(state.cycles, end)]
         with open(path) as fh:
             assert fh.read() == format_trace(trace + pad)
+
+
+def recorded_steps(monkeypatch):
+    """The budget of every run, a `microcode.advance` call, `cslow` makes
+    from here on (a plain-core `run` counts as None)."""
+    budgets = []
+    def advance(state, mem, max_cycles, _real=cslow.advance):
+        budgets.append(max_cycles)
+        return _real(state, mem, max_cycles)
+    def plain(*args, _real=cslow.run, **kwargs):
+        budgets.append(None)
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(cslow, "advance", advance)
+    monkeypatch.setattr(cslow, "run", plain)
+    return budgets
 
 
 @pytest.mark.parametrize("mode, picks", PICKS)
@@ -551,18 +580,22 @@ def test_sweep_runs_each_thread_once(mode, picks, monkeypatch):
     rng = random.Random(13)
     programs = [asm(genprog.random_halting_program(rng)) for _ in range(MAX_THREADS)]
     images = [programs[i].copy() for i in picks]
-    runs = []
-    for name in ("run", "advance"):
-        def counted(*args, _name=name, _real=getattr(cslow, name), **kwargs):
-            runs.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(cslow, name, counted)
-    halts = {}
+    budgets = recorded_steps(monkeypatch)
+    memo = {}
     for c in range(1, MAX_THREADS + 1):
-        compare(images[:c], c, mode, halts=halts)
+        compare(images[:c], c, mode, memo=memo)
     # Threads that start from one image run it in lock-step: one run serves
-    # every thread of every row that starts from it.
-    assert len(runs) == len(set(picks))
+    # every thread of every row that starts from it, made in the first row
+    # that has the image, where its one thread is the row's last.
+    limit = cslow.DEFAULT_MAX_FAST_CYCLES
+    firsts = [picks.index(i) for i in dict.fromkeys(picks)]
+    assert budgets == [cslow.slots(limit, t, t + 1) for t in firsts]
+    # Once every image is in the memo, a second sweep makes no run at all
+    # and gives the rows that runs without the memo give.
+    again = [compare(images[:c], c, mode, memo=memo) for c in range(1, MAX_THREADS + 1)]
+    assert len(budgets) == len(firsts)
+    assert [row(r) for r in again] == \
+        [row(compare(images[:c], c, mode)) for c in range(1, MAX_THREADS + 1)]
 
 
 def test_sweep_stops_a_looping_image_at_its_row_budget(monkeypatch):
@@ -570,29 +603,26 @@ def test_sweep_stops_a_looping_image_at_its_row_budget(monkeypatch):
     # image runs once, within row 1's budget, and the loop within thread
     # 7's budget in row 8, not the whole limit.
     images = [asm("CMA\nHALT")] * 7 + [asm("L: LOAD Z\nSUB Z\nJOZ L\nZ: .word 0")]
-    budgets = []
-    def recorded(image, max_cycles, *args, _real=cslow.run, **kwargs):
-        budgets.append(max_cycles)
-        return _real(image, max_cycles, *args, **kwargs)
-    monkeypatch.setattr(cslow, "run", recorded)
+    budgets = recorded_steps(monkeypatch)
     limit = 10_000
-    halts = {}
+    memo = {}
     for c in range(1, 8):
-        row = compare(images[:c], c, MemoryMode.PRIVATE, limit, halts)
-        assert row.max_rounds == run(images[0]).cycles
+        result = compare(images[:c], c, MemoryMode.PRIVATE, limit, memo)
+        assert result.rounds == run(images[0]).cycles
     with pytest.raises(CycleLimitExceeded) as exc:
-        compare(images, 8, MemoryMode.PRIVATE, limit, halts)
+        compare(images, 8, MemoryMode.PRIVATE, limit, memo)
     assert exc.value.threads == [7]
     assert budgets == [limit, cslow.slots(limit, 7, 8)]
-    # `halts` keeps only runs that halted: the loop runs again, and raises
-    # again, as the machine does.
-    assert list(halts) == [bytes(images[0].cells)]
+    # The memo keeps only runs that halted: the loop runs again, and raises
+    # again, as a run without the memo does.
+    assert list(memo) == [bytes(images[0].cells)]
     with pytest.raises(CycleLimitExceeded) as again:
-        compare(images, 8, MemoryMode.PRIVATE, limit, halts)
+        compare(images, 8, MemoryMode.PRIVATE, limit, memo)
+    assert budgets[2:] == [cslow.slots(limit, 7, 8)]
     machine = CslowMachine(CslowConfig(8, MemoryMode.PRIVATE, limit), images)
     with pytest.raises(CycleLimitExceeded) as direct:
         machine.run_all()
     assert again.value.threads == direct.value.threads == [7]
     assert [s.snapshot() for s in again.value.state] == \
         [s.snapshot() for s in direct.value.state]
-    assert budgets[2:] == [cslow.slots(limit, 7, 8)]
+    assert str(again.value) == str(direct.value)

@@ -14,7 +14,10 @@ checks became one checker and `retime --cycles` came to default to 256
 compared cycles past the warm-up, nor when plain retiming became C-slow at
 C = 1 and the retimer came to return the netlist it verified.  The four
 repeated-image private cases were added, with their digests, before private
-and tagged threads that start from one image came to run once.
+and tagged threads that start from one image came to run once.  The
+cycle-limit digests, and only they, were taken again when a limit's message
+came to name each stuck thread's pc and the instruction there, and `bench`
+came to print no table when a row fails.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """
@@ -155,7 +158,7 @@ GOLDEN = {
     "run-cslow private C=8":
         "c3b5cde9fb41b48d47d1d2be378eb2e0cc72b8b96fe349318b4196150f45ff7e",
     "bench private --max-cycles 50":
-        "f1a5d62cfbf3c9fc632a9d97df39c19990a81b1d8df966c7e13d2ab716a81177",
+        "4036f4abf5cff308f59e6d355c85715ba9743af2cc668e7656ff7dd65953cef0",
     "bench private --max-cycles 5000":
         "7b82bca6c4a3087a57da3a65d3703d74c5f63a742ced060eaa9047ef7c6ca2a6",
     "run-cslow tagged C=1":
@@ -167,7 +170,7 @@ GOLDEN = {
     "run-cslow tagged C=8":
         "2779d5eb70ca1aee6440d3ada1967e3750885d9578e0fc14e714b9868585f687",
     "bench tagged --max-cycles 50":
-        "f1a5d62cfbf3c9fc632a9d97df39c19990a81b1d8df966c7e13d2ab716a81177",
+        "4036f4abf5cff308f59e6d355c85715ba9743af2cc668e7656ff7dd65953cef0",
     "bench tagged --max-cycles 5000":
         "fe7fdd4faaa523d252f7609bbbc309c9ecdd9b5dbde275dae68587f3c9ec2648",
     "run-cslow shared C=1":
@@ -179,37 +182,37 @@ GOLDEN = {
     "run-cslow shared C=8":
         "7957ba310e9651b0975286489401d1a5292790d35c8880031cfdfb3ccfe5e790",
     "bench shared --max-cycles 50":
-        "f1a5d62cfbf3c9fc632a9d97df39c19990a81b1d8df966c7e13d2ab716a81177",
+        "03364b9a161bdf5f2a5e0ae425a724437ec49124e2dbcb9b20007c3c970e73f7",
     "bench shared --max-cycles 5000":
         "73234f9755c6bbfa4f80191b813796ba208e5b49cabd605b354a9d61a0f26c93",
     "run countdown --max-cycles 171":
-        "b4cae36bcdf5e0b7639c388778af8993ed363c995056b89257191e4c3097def1",
+        "0d79a5612696f5ce9a1c38fa63c8e9ed9f2a229c84d95acd4ff2a589875b9bf4",
     "run countdown --max-cycles 172":
         "20bb0264b88c1178b3ee85129736d3db8c8637fdc52914384da81b51d7cd83c6",
     "bench private --max-cycles 1":
-        "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
+        "741d3e21c290ffcc0f076341382eb4ccd01dc0223b4763ae438e585c07e58af1",
     "bench private --max-cycles 13":
-        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+        "108047d3c39240e7264c204e801eb86bcd8a9023f2f25ad8dfde27a7faafd6b0",
     "bench tagged --max-cycles 1":
-        "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
+        "741d3e21c290ffcc0f076341382eb4ccd01dc0223b4763ae438e585c07e58af1",
     "bench tagged --max-cycles 13":
-        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+        "108047d3c39240e7264c204e801eb86bcd8a9023f2f25ad8dfde27a7faafd6b0",
     "run-cslow shared 1 image C=3":
         "97a8c2523dedeabe6abce14f415b53d61ad6909f72fa07e139cc23980a95deae",
     "run-cslow shared C=3 --max-cycles 787":
-        "ae570d5a2ac8cf5a7f2fe258aa105ea917cac6be5532ef2fe95085491914a93b",
+        "3cf44892ae079d5a22adf7a4aa7e40b94a02a27e91154860bbb3582837e61519",
     "bench shared --max-cycles 1":
-        "a0922c7d430669a966ee3feb86d23b5d75eb2622a541fbf7605c8dbb2b1a6191",
+        "fa3fb6e469cbb9569711d506e3d3976922023bb34f1b2b8ea7eb3e783b12512a",
     "bench shared --max-cycles 13":
-        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+        "49c5b3479f00410c90728ecec6a6d3656b2e479da10815f3e46e6303d61fc8e9",
     "bench private memloop countdown memloop --max-cycles 13":
-        "9331b9680d1fdfe2238ecc967da6ff724dda9a675d0fb3d45e6e8b9a2c7f5d91",
+        "49c5b3479f00410c90728ecec6a6d3656b2e479da10815f3e46e6303d61fc8e9",
     "bench private memloop countdown memloop --max-cycles 50":
-        "f1a5d62cfbf3c9fc632a9d97df39c19990a81b1d8df966c7e13d2ab716a81177",
+        "03364b9a161bdf5f2a5e0ae425a724437ec49124e2dbcb9b20007c3c970e73f7",
     "bench private memloop countdown memloop --max-cycles 5000":
         "852548e8536c1f6d48fa0e39c3fa51501a050690062e4e830b2fc5bebebfc962",
     "run-cslow private 3 memloop --max-cycles 787":
-        "ae570d5a2ac8cf5a7f2fe258aa105ea917cac6be5532ef2fe95085491914a93b",
+        "3cf44892ae079d5a22adf7a4aa7e40b94a02a27e91154860bbb3582837e61519",
     "retime ring --cslow 3 --check 20":
         "b0ab0f68b6b0b5a5613e7463cd3cf8be13df133397cd04f9a1274ca05fb0e260",
     "retime toggle --cslow 3 --check 20":
