@@ -160,20 +160,18 @@ def cmd_retime(args) -> int:
 
     c_factor = 1 if args.cslow is None else args.cslow
     if args.pipeline is not None:
-        period_before = netlist.critical_path(original).period
-        final = retime.pipeline(original, args.pipeline)
-        period_after = netlist.critical_path(final).period
+        result = retime.pipeline(original, args.pipeline)
         check = {"shift": args.pipeline}
     else:
         slowed = retime.cslow_transform(original, c_factor)
         result = retime.min_period_retime(slowed)  # checked to meet its period
-        # C-slow multiplies every weight by C >= 1, so the register-free
-        # wires, and with them the period, are the original's.
-        period_before = result.period_before
-        final, period_after = result.netlist, result.period
         # C-slow is exact from cycle 0, so only the retiming needs a
         # warm-up; final is checked against the original itself.
-        check = {"factor": c_factor, "warmup": retime.flush_warmup(slowed, final)}
+        check = {"factor": c_factor, "warmup": retime.flush_warmup(slowed, result.netlist)}
+    # C-slow multiplies every weight by C >= 1, and pipelining stages only
+    # wires out of inputs, so either way the retimer's `period_before` is
+    # the original's period.
+    final = result.netlist
 
     area = retime.area_report(original, final)
 
@@ -184,8 +182,8 @@ def cmd_retime(args) -> int:
         verdict, warmup = report.verdict, report.warmup
 
     _print_json({
-        "period_before": period_before,
-        "period_after": period_after,
+        "period_before": result.period_before,
+        "period_after": result.period,
         "c": c_factor,
         "registers_before": area.registers_before,
         "registers_after": area.registers_after,

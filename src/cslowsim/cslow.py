@@ -41,10 +41,11 @@ the group's first thread within the limit.  A limit gives the threads
 budgets that differ by at most one step in all, and each thread takes the
 group's state and memory after its own budget.  A thread still running
 after its budget makes `run_all` raise CycleLimitExceeded, the one place
-that does, naming each stuck thread with its state and the instruction at
-its pc.  Otherwise it returns a frozen BarrelRun: the schedule's metrics,
-the sequential sum of the images given, and each thread's state and memory
-as of its own halt.  A `memo`, one dict shared by the rows of a `bench`
+that does, naming each stuck thread with its state, its pc and the
+instruction it is in: the one at its pc until the Fetch rows have loaded
+ir, then the one whose opcode ir holds.  Otherwise it returns a frozen
+BarrelRun: the schedule's metrics, the sequential sum of the images given,
+and each thread's state and memory as of its own halt.  A `memo`, one dict shared by the rows of a `bench`
 sweep, maps starting cells to the state and memory of a run that halted;
 a group whose entry halts within its smallest budget takes it, so each
 distinct image runs once over the whole sweep, and a row whose groups all
@@ -77,7 +78,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import microcode
-from .isa import MEMORY_SIZE, MemoryImage, disassemble
+from .isa import MEMORY_SIZE, MemoryImage, decode, disassemble
 from .microcode import CoreState, CycleLimitExceeded, advance, run
 
 MAX_THREADS = 8
@@ -168,7 +169,7 @@ class CslowMachine:
         that runs and halts leaves its entry there.  Results and `memo`
         share those states and memories, so none may be changed.  Raises
         CycleLimitExceeded, naming the threads still running, their states
-        and the instruction at each one's pc, when that takes more than
+        and the instruction each one is in, when that takes more than
         `max_fast_cycles` fast cycles; then no trace file is opened.  A
         trace path that cannot be opened raises OSError before any file is
         written.
@@ -195,9 +196,12 @@ class CslowMachine:
         if stuck:
             message = "threads %s not halted within %d fast cycles" % (stuck, limit)
             for t in stuck:
-                pc = states[t].pc
-                word = disassemble(MemoryImage(memories[t]), pc, 2).split("\n")[0]
-                message += "; thread %d at pc 0x%02x: %s" % (t, pc, word)
+                state = states[t]
+                if state.micro_pc < microcode.DECODE:  # ir not loaded yet
+                    word = disassemble(MemoryImage(memories[t]), state.pc, 2).split("\n")[0]
+                else:
+                    word = decode(state.ir)[0].value
+                message += "; thread %d at pc 0x%02x: %s" % (t, state.pc, word)
             raise CycleLimitExceeded(message, state=[states[t] for t in stuck],
                                      threads=stuck)
         per_thread = tuple(state.cycles for state in states)

@@ -14,6 +14,10 @@ Opcode layout, low nibble (i3 i2 i1 i0):
   i3=1:  AND 1000    LOAD 1010  STO 1011    ADD 1100   SUB 1101
          JOZ 1110    JOC 1111
 
+In the code each `Mnemonic` member carries its nibble, and nothing else
+restates it: whether an operand word follows is the member's i3 bit, which
+the assembler and `decode` both read from the member.
+
 The upper nibble of an opcode word is ignored on decode.  The sequencer never
 tests i0 when i3=0, so non-memref patterns with i0=1 decode the same as their
 i0=0 form; likewise 1001 decodes as AND (the memref dispatch falls through
@@ -41,65 +45,39 @@ class AssemblyError(Exception):
 
 
 class Mnemonic(Enum):
-    CMA = "CMA"
-    INCA = "INCA"
-    DCRA = "DCRA"
-    HALT = "HALT"
-    AND = "AND"
-    LOAD = "LOAD"
-    STO = "STO"
-    ADD = "ADD"
-    SUB = "SUB"
-    JOZ = "JOZ"
-    JOC = "JOC"
+    """An instruction, with its opcode nibble (i3 i2 i1 i0) and `memref`,
+    its i3 bit: whether an operand word follows the opcode word."""
+
+    CMA = "CMA", 0b0010
+    INCA = "INCA", 0b0100
+    DCRA = "DCRA", 0b0110
+    HALT = "HALT", 0b0000
+    AND = "AND", 0b1000
+    LOAD = "LOAD", 0b1010
+    STO = "STO", 0b1011
+    ADD = "ADD", 0b1100
+    SUB = "SUB", 0b1101
+    JOZ = "JOZ", 0b1110
+    JOC = "JOC", 0b1111
+
+    def __new__(cls, name, opcode):
+        mnemonic = object.__new__(cls)
+        mnemonic._value_, mnemonic.opcode = name, opcode
+        mnemonic.memref = bool(opcode & 0b1000)
+        return mnemonic
 
 
-MEMREF = frozenset(
-    {Mnemonic.AND, Mnemonic.LOAD, Mnemonic.STO, Mnemonic.ADD, Mnemonic.SUB,
-     Mnemonic.JOZ, Mnemonic.JOC}
-)
-
-# Mnemonic -> opcode nibble (i3 i2 i1 i0).
-ENCODING = {
-    Mnemonic.HALT: 0b0000,
-    Mnemonic.CMA:  0b0010,
-    Mnemonic.INCA: 0b0100,
-    Mnemonic.DCRA: 0b0110,
-    Mnemonic.AND:  0b1000,
-    Mnemonic.LOAD: 0b1010,
-    Mnemonic.STO:  0b1011,
-    Mnemonic.ADD:  0b1100,
-    Mnemonic.SUB:  0b1101,
-    Mnemonic.JOZ:  0b1110,
-    Mnemonic.JOC:  0b1111,
-}
-
-# All 16 nibble patterns decode; i0 is ignored where the sequencer never
-# tests it (non-memref rows, and the memref fall-through to AND).
-_DECODE = (
-    Mnemonic.HALT, Mnemonic.HALT, Mnemonic.CMA, Mnemonic.CMA,
-    Mnemonic.INCA, Mnemonic.INCA, Mnemonic.DCRA, Mnemonic.DCRA,
-    Mnemonic.AND, Mnemonic.AND, Mnemonic.LOAD, Mnemonic.STO,
-    Mnemonic.ADD, Mnemonic.SUB, Mnemonic.JOZ, Mnemonic.JOC,
-)
-
-
-@dataclass(frozen=True)
-class Instruction:
-    mnemonic: Mnemonic
-    operand: int | None = None  # direct address; present iff memory-reference
-
-
-def encode(instr) -> int:
-    """Opcode word for an instruction (or bare mnemonic)."""
-    m = instr.mnemonic if isinstance(instr, Instruction) else instr
-    return ENCODING[m]
+# All 16 nibble patterns decode; a pattern no opcode has is its i0=0 form,
+# since the sequencer never tests i0 there (non-memref rows, and the memref
+# fall-through to AND).
+_OPCODES = {m.opcode: m for m in Mnemonic}
+_DECODE = tuple(_OPCODES.get(nibble) or _OPCODES[nibble & ~1] for nibble in range(16))
 
 
 def decode(word: int) -> tuple[Mnemonic, bool]:
     """(mnemonic, operand-word-expected) for any 8-bit word."""
-    nibble = word & 0x0F
-    return _DECODE[nibble], bool(nibble & 0b1000)
+    mnemonic = _DECODE[word & 0x0F]
+    return mnemonic, mnemonic.memref
 
 
 class MemoryImage:
@@ -167,8 +145,6 @@ def _parse_value(text, symbols, line):
     elif _DEC_RE.fullmatch(text):
         value = int(text, 10)
     elif _LABEL_RE.match(text):
-        if symbols is None:
-            return 0  # pass 1: size only
         if text not in symbols:
             raise AssemblyError("undefined label '%s'" % text, line)
         value = symbols[text]
@@ -262,7 +238,7 @@ def assemble_program(text: str, origin: int = 0) -> Assembly:
         elif s.op.startswith("."):
             raise AssemblyError("unknown directive '%s'" % s.op, s.line)
         else:
-            loc += 2 if _mnemonic(s.op, s.line) in MEMREF else 1
+            loc += 2 if _mnemonic(s.op, s.line).memref else 1
         if loc > MEMORY_SIZE:
             raise AssemblyError("image overflow past address 0xff", s.line)
 
@@ -283,8 +259,8 @@ def assemble_program(text: str, origin: int = 0) -> Assembly:
         elif s.op is not None:
             m = _mnemonic(s.op, s.line)
             addr = loc
-            words.append(ENCODING[m])
-            if m in MEMREF:
+            words.append(m.opcode)
+            if m.memref:
                 if s.operand is None:
                     raise AssemblyError("%s needs an address operand" % m.value, s.line)
                 words.append(_parse_value(s.operand, symbols, s.line))

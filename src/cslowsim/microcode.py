@@ -5,8 +5,9 @@ cycle.  Each row is a set of parallel register transfers plus next-address
 control.  All sources are sampled before any destination is written, so a row
 like `IR <- M(MAR) ; pc <- pc+1` is well defined.
 
-Rows execute as generated code, built from one table of transfers
-(destination and source template) and one of branch conditions.
+Rows execute as generated code.  Each `Transfer` member carries its
+destination and source template and each `Cond` member its test, and
+`MICROPROGRAM`, the tuple of rows, names them; nothing else states them.
 `_transfer_lines` writes a row's statements, and two shapes of code use them:
 
   rows   each control-store row is one straight-line Python function
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -89,32 +91,43 @@ MICROPROGRAM_LENGTH = 53
 
 
 class Transfer(Enum):
-    PC_ZERO = "pc<-0"
-    MAR_PC = "mar<-pc"
-    IR_MEM = "ir<-M(mar)"
-    PC_INC = "pc<-pc+1"
-    A_NOT = "a<-~a"
-    A_INC = "a<-a+1"
-    A_DEC = "a<-a-1"
-    A_AND_BUF = "a<-a&buffer"
-    BUF_MEM = "buffer<-M(mar)"
-    MAR_BUF = "mar<-buffer"
-    A_BUF = "a<-buffer"
-    MEM_A = "M(mar)<-a"
-    A_ADD_BUF = "a<-a+buffer"
-    A_SUB_BUF = "a<-a-buffer"
-    PC_MEM = "pc<-M(mar)"
+    """A register transfer: its destination and its source template over
+    the pre-row registers `{pc}`, `{a}`, ... and the cell store `m`.
+    Destination "a,zc" writes the 8-bit result to a and sets z and c from
+    the 9-bit sum; "M(mar)" stores at the address mar held before the row."""
+
+    PC_ZERO = "pc", "0"
+    MAR_PC = "mar", "{pc}"
+    IR_MEM = "ir", "m[{mar}]"
+    PC_INC = "pc", "({pc} + 1) & 255"
+    A_NOT = "a", "~{a} & 255"
+    A_INC = "a,zc", "{a} + 1"
+    A_DEC = "a,zc", "{a} + 255"  # two's-complement -1
+    A_AND_BUF = "a", "{a} & {buffer}"
+    BUF_MEM = "buffer", "m[{mar}]"
+    MAR_BUF = "mar", "{buffer}"
+    A_BUF = "a", "{buffer}"
+    MEM_A = "M(mar)", "{a}"
+    A_ADD_BUF = "a,zc", "{a} + {buffer}"
+    A_SUB_BUF = "a,zc", "{a} + ({buffer} ^ 255) + 1"
+    PC_MEM = "pc", "m[{mar}]"
+
+    def __init__(self, dest, source):
+        self.dest, self.source = dest, source
 
 
 class Cond(Enum):
-    I3 = "i3=1"
-    XC0 = "xc0=1"
-    XC1 = "xc1=1"
-    XC2 = "xc2=1"
-    I0_ZERO = "i0=0"
-    I0_ONE = "i0=1"
-    Z = "z=1"
-    C = "c=1"
+    """A branch condition; its value is its test over the pre-row
+    registers."""
+
+    I3 = "{ir} & 8"
+    XC0 = "({ir} & 6) == 2"
+    XC1 = "({ir} & 6) == 4"
+    XC2 = "({ir} & 6) == 6"
+    I0_ZERO = "not {ir} & 1"
+    I0_ONE = "{ir} & 1"
+    Z = "{z}"
+    C = "{c}"
 
 
 # Next-address control: ("next",) | ("goto", addr) | ("if", Cond, addr).
@@ -135,13 +148,9 @@ class MicroInstruction:
     control: tuple
 
 
-@dataclass(frozen=True)
-class MicroProgram:
-    rows: tuple  # 53 MicroInstructions, micro-addresses 0..52
-
-
-def build_microprogram() -> MicroProgram:
-    """The full control store; one row per clock cycle."""
+def build_microprogram() -> tuple:
+    """The full control store, one MicroInstruction per micro-address
+    0..52; one row per clock cycle."""
     T = Transfer
     r = [None] * MICROPROGRAM_LENGTH
 
@@ -199,7 +208,7 @@ def build_microprogram() -> MicroProgram:
     r[51] = ((), _goto(FETCH))
     r[52] = ((), _goto(HALT_SEQ))                    # HALT self-loop
 
-    return MicroProgram(tuple(MicroInstruction(t, c) for t, c in r))
+    return tuple(MicroInstruction(t, c) for t, c in r)
 
 
 MICROPROGRAM = build_microprogram()
@@ -214,21 +223,18 @@ class CycleLimitExceeded(Exception):
         self.threads = threads
 
 
+# The architectural registers, in the trace line's field order.
+_REGISTERS = ("pc", "a", "mar", "ir", "buffer", "z", "c")
+
+
 class CoreState:
     """One thread's architectural + sequencer state."""
 
-    __slots__ = ("pc", "a", "mar", "ir", "buffer", "z", "c", "micro_pc", "cycles")
+    __slots__ = ("cycles", "micro_pc") + _REGISTERS
 
     def __init__(self):
-        self.pc = 0
-        self.a = 0
-        self.mar = 0
-        self.ir = 0
-        self.buffer = 0
-        self.z = 0
-        self.c = 0
-        self.micro_pc = 0
-        self.cycles = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def halted(self):
@@ -236,52 +242,17 @@ class CoreState:
 
     def snapshot(self):
         """Trace tuple: (cycle, uaddr, pc, a, mar, ir, buffer, z, c)."""
-        return (self.cycles, self.micro_pc, self.pc, self.a, self.mar,
-                self.ir, self.buffer, self.z, self.c)
+        return _SNAPSHOT(self)
 
     def registers(self):
-        return {"pc": self.pc, "a": self.a, "mar": self.mar, "ir": self.ir,
-                "buffer": self.buffer, "z": self.z, "c": self.c}
+        return {r: getattr(self, r) for r in _REGISTERS}
 
     def __repr__(self):
-        return ("CoreState(upc=%d pc=%02x a=%02x mar=%02x ir=%02x buf=%02x "
-                "z=%d c=%d cycles=%d)" % (self.micro_pc, self.pc, self.a,
-                                          self.mar, self.ir, self.buffer,
-                                          self.z, self.c, self.cycles))
+        return "CoreState(%s)" % " ".join(
+            "%s=%d" % pair for pair in zip(self.__slots__, self.snapshot()))
 
 
-# Transfer -> (destination, source template) over the pre-row registers
-# `{pc}`, `{a}`, ... and the cell store `m`.  Destination "a,zc" writes the
-# 8-bit result to a and sets z and c from the 9-bit sum; "M(mar)" stores at
-# the address mar held before the row.
-_TRANSFERS = {
-    Transfer.PC_ZERO: ("pc", "0"),
-    Transfer.MAR_PC: ("mar", "{pc}"),
-    Transfer.IR_MEM: ("ir", "m[{mar}]"),
-    Transfer.PC_INC: ("pc", "({pc} + 1) & 255"),
-    Transfer.A_NOT: ("a", "~{a} & 255"),
-    Transfer.A_INC: ("a,zc", "{a} + 1"),
-    Transfer.A_DEC: ("a,zc", "{a} + 255"),  # two's-complement -1
-    Transfer.A_AND_BUF: ("a", "{a} & {buffer}"),
-    Transfer.BUF_MEM: ("buffer", "m[{mar}]"),
-    Transfer.MAR_BUF: ("mar", "{buffer}"),
-    Transfer.A_BUF: ("a", "{buffer}"),
-    Transfer.MEM_A: ("M(mar)", "{a}"),
-    Transfer.A_ADD_BUF: ("a,zc", "{a} + {buffer}"),
-    Transfer.A_SUB_BUF: ("a,zc", "{a} + ({buffer} ^ 255) + 1"),
-    Transfer.PC_MEM: ("pc", "m[{mar}]"),
-}
-
-_CONDS = {
-    Cond.I3: "{ir} & 8",
-    Cond.XC0: "({ir} & 6) == 2",
-    Cond.XC1: "({ir} & 6) == 4",
-    Cond.XC2: "({ir} & 6) == 6",
-    Cond.I0_ZERO: "not {ir} & 1",
-    Cond.I0_ONE: "{ir} & 1",
-    Cond.Z: "{z}",
-    Cond.C: "{c}",
-}
+_SNAPSHOT = operator.attrgetter(*CoreState.__slots__)
 
 # One trace line per step, the state before it: cycle, micro-address, then
 # pc, a, mar, ir and buffer in hex, then z and c.  Traced runs hand their
@@ -297,7 +268,6 @@ _REGS_TEXT = 'f"{h[pc]} {h[a]} {h[mar]} {h[ir]} {h[buffer]} {zc[z][c]}"'
 # of up to 30 parts on its stack but one of more through a list and a join.
 _LINES_PER_APPEND = 10
 
-_REGISTERS = ("pc", "a", "mar", "ir", "buffer", "z", "c")
 # How generated code spells each register: a row function reaches it
 # through its CoreState `s`, the instruction loop holds it in a local.
 _FIELDS = {r: "s." + r for r in _REGISTERS}
@@ -309,7 +279,7 @@ def _transfer_lines(transfers, names):
     source (a store's address too) read into a temporary, then the writes."""
     reads, writes = [], []
     for k, t in enumerate(transfers):
-        dest, source = _TRANSFERS[t]
+        dest, source = t.dest, t.source
         reads.append("v%d = %s" % (k, source))
         if dest == "M(mar)":
             reads.append("w%d = {mar}" % k)
@@ -332,7 +302,7 @@ def _row_source(i, row):
         target = "%d" % row.control[1]
     else:
         target = "%d if %s else %d" % (
-            row.control[2], _CONDS[row.control[1]].format_map(_FIELDS), i + 1)
+            row.control[2], row.control[1].value.format_map(_FIELDS), i + 1)
     body = ["u = " + target, *_transfer_lines(row.transfers, _FIELDS),
             "s.micro_pc = u", "s.cycles += 1"]
     return "def row%d(s, m):\n%s\n" % (i, "".join("    %s\n" % line for line in body))
@@ -374,20 +344,20 @@ def _loop_source(program, traced=False):
             else:
                 lines.extend(pad + line for line in ("upc = %d" % HALT_SEQ, "break"))
             return rows
-        row = program.rows[upc]
+        row = program[upc]
         body = _transfer_lines(row.transfers, _LOCALS)
         if traced:
             if len(text) == _LINES_PER_APPEND:
                 lines.append(pad + 'out(f"%s")' % "".join(text))
                 text = ()
             text += ("{cycles%s} %d {%s}" % (" + %d" % rows if rows else "", upc, regs),)
-            if any(_TRANSFERS[t][0] != "M(mar)" for t in row.transfers):
+            if any(t.dest != "M(mar)" for t in row.transfers):
                 regs = "r%d" % (rows + 1)
                 body.append(regs + " = " + _REGS_TEXT)
         kind = row.control[0]
         taken = 0
         if kind == "if":  # tested on the pre-row registers
-            lines.append(pad + "if %s:" % _CONDS[row.control[1]].format_map(_LOCALS))
+            lines.append(pad + "if %s:" % row.control[1].value.format_map(_LOCALS))
             lines.extend(pad + "    " + line for line in body)
             taken = follow(row.control[2], rows + 1, pad + "    ", text, regs)
         lines.extend(pad + line for line in body)
@@ -415,11 +385,11 @@ def _loop_source(program, traced=False):
 
 def _compile_rows(program):
     namespace = {}
-    for i, row in enumerate(program.rows):
+    for i, row in enumerate(program):
         exec(compile(_row_source(i, row), "<micro-row %d>" % i, "exec"), namespace)
     # Popped, not read: each function keeps `namespace` as its globals, and
     # leaving it there too would be a reference cycle only the GC frees.
-    return tuple(namespace.pop("row%d" % i) for i in range(len(program.rows)))
+    return tuple(namespace.pop("row%d" % i) for i in range(len(program)))
 
 
 def _compile_loop(program, traced=False):

@@ -256,9 +256,13 @@ def min_period_retime(netlist: Netlist) -> RetimeResult:
     return RetimeResult(lag, period, retimed, before)
 
 
-def pipeline(netlist: Netlist, k: int) -> Netlist:
+def pipeline(netlist: Netlist, k: int) -> RetimeResult:
     """Insert k register ranks from the inputs of a feed-forward netlist
     and rebalance; every input-to-output path gains exactly k registers.
+    Returns the retimer's result on the staged netlist: its lags are the
+    staged netlist's, and its `period_before` is the input's own period,
+    since staging adds registers only on wires out of inputs, which have
+    delay 0 and no fan-in.
 
     Feedback circuits are rejected: extra registers in a loop change its
     function, which is exactly the case that calls for C-slow instead.
@@ -270,7 +274,7 @@ def pipeline(netlist: Netlist, k: int) -> Netlist:
         raise NotFeedForward("netlist has a feedback path; use cslow_transform")
     staged = netlist.with_weights(
         [w + k if ix.kinds[s] is INPUT else w for w, s in zip(netlist.weights, ix.src)])
-    return min_period_retime(staged).netlist
+    return min_period_retime(staged)
 
 
 @dataclass

@@ -10,7 +10,7 @@ the package's trace text is checked against both.  `write_bundle` writes
 the multi-image file `run-cslow` reads, its header spelt out here too.
 """
 
-from cslowsim.isa import ENCODING, MEMORY_SIZE, Mnemonic
+from cslowsim.isa import MEMORY_SIZE, Mnemonic
 from cslowsim.microcode import _STEP_TABLE, FETCH, HALT_SEQ, CoreState
 
 LINE = "%d %d %02x %02x %02x %02x %02x %d %d\n"
@@ -78,7 +78,7 @@ def instruction_cycle_cost(mnemonic: Mnemonic, taken: bool | None = None) -> int
     if conditional:
         probe.z = probe.c = 1 if taken else 0
     mem = bytearray(MEMORY_SIZE)
-    mem[0] = ENCODING[mnemonic]
+    mem[0] = mnemonic.opcode
     while True:
         step(probe, mem)
         if probe.micro_pc in (FETCH, HALT_SEQ):

@@ -165,7 +165,7 @@ def test_criterion_3_thread_isolation(random_programs, tmp_path):
 def test_criterion_4_fixture_periods(chain_net_text, ring_net_text):
     chain = parse(chain_net_text)
     assert critical_path(chain).period == 4
-    assert critical_path(pipeline(chain, 1)).period == 2
+    assert critical_path(pipeline(chain, 1).netlist).period == 2
 
     ring = parse(ring_net_text)
     assert critical_path(ring).period == 4

@@ -10,10 +10,11 @@ import pytest
 
 import cslowsim
 import genprog
+import refisa
 from reftrace import format_trace, image_trace, write_bundle
 from cslowsim import cli, cslow
 from cslowsim.cslow import MemoryMode
-from cslowsim.isa import MemoryImage, assemble, disassemble
+from cslowsim.isa import MemoryImage, assemble
 from cslowsim.microcode import run
 
 
@@ -135,12 +136,11 @@ def test_shared_traces_are_the_plain_core_trace(c, tmp_path, corpus_programs, ca
                                        "--c", str(c), "--trace", str(prefix),
                                        "--max-cycles", str(h * c - 1)])
     # The last thread stops a step short of its halt, in the state of the
-    # plain core's last trace line; no step of the halting instruction
-    # writes memory, so the instruction at its pc reads as in the final one.
-    pc = int(base.read_text().splitlines()[-1].split()[2], 16)
-    memory = run(MemoryImage.from_text(image.read_text())).memory
-    where = "; thread %d at pc 0x%02x: %s" % (
-        c - 1, pc, disassemble(memory, pc, 2).splitlines()[0])
+    # plain core's last trace line: past the Fetch rows of the halting
+    # instruction, whose opcode its ir holds.
+    _, upc, pc, _, _, ir = base.read_text().splitlines()[-1].split()[:6]
+    assert int(upc) > 2 and refisa.DECODE[int(ir, 16) & 15] == "HALT"
+    where = "; thread %d at pc 0x%s: HALT" % (c - 1, pc)
     assert code == 2 and "not halted" in stderr
     assert stderr.endswith(where + "\n"), stderr
     assert list(tmp_path.glob("tp*")) == []
@@ -646,7 +646,7 @@ def test_retime_check_simulates_original_and_final(capsys, monkeypatch, circuit,
     assert code == 0 and json.loads(stdout)["equivalence"] == "PASS"
     original = netlist.parse(path.read_text())
     if "--pipeline" in flags:
-        final = retime.pipeline(original, 2)
+        final = retime.pipeline(original, 2).netlist
         assert simulated == [original, final]
     else:
         c = 3 if flags else 1
@@ -747,3 +747,68 @@ def test_reports_byte_reproducible(tmp_path, corpus_programs, capsys):
     out1 = run_cli(capsys, args)[1]
     out2 = run_cli(capsys, args)[1]
     assert out1 == out2
+
+
+def test_run_cslow_bundle_overridden_by_c_and_mode(chain_image, tmp_path, capsys):
+    image = MemoryImage.from_text(chain_image.read_text())
+    one, two = tmp_path / "one.bundle", tmp_path / "two.bundle"
+    write_bundle(one, [image], MemoryMode.PRIVATE)
+    write_bundle(two, [image, image], MemoryMode.PRIVATE)
+    overrides = ["--c", "3", "--mode", "shared"]
+    code, stdout, _ = run_cli(capsys, ["run-cslow", "--bundle", str(one), *overrides])
+    report = json.loads(stdout)
+    assert (code, report["c"], report["mode"]) == (0, 3, "shared")
+    code, stdout, stderr = run_cli(capsys, ["run-cslow", "--bundle", str(two), *overrides])
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: shared mode takes 1 image or 3 identical, got 2\n"
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["run-cslow", "--bundle", "b.bundle", "a.hex"], {},
+     "give either --bundle or image files, not both"),
+    (["run-cslow"], {}, "no memory images given"),
+    (["run-cslow", "--bundle", "b.bundle"],
+     {"b.bundle": "cslow-bundle C=x mode=private\n"},
+     "bad bundle header: 'cslow-bundle C=x mode=private'"),
+    (["run-cslow", "--bundle", "b.bundle"],
+     {"b.bundle": "cslow-bundle C=1 mode=wrapped\n"},
+     "bad bundle header: 'cslow-bundle C=1 mode=wrapped'"),
+    (["run-cslow", "--bundle", "b.bundle"],
+     {"b.bundle": "cslow-bundle C=2 mode=private\n" + "00 " * 256},
+     "bundle body holds 256 bytes, expected 512"),
+    (["run", "bad.hex"], {"bad.hex": "00 " * 255 + "zz\n"},
+     "bad hex byte in memory image: invalid literal for int() with base 16: 'zz'"),
+    (["bench", "a.asm", "--c-values", ","], {"a.asm": "HALT\n"}, "empty thread-count list"),
+], ids=["bundle-and-images", "no-images", "bundle-c", "bundle-mode", "bundle-size",
+        "hex-byte", "empty-c-values"])
+def test_input_errors_exit_1(argv, files, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(capsys, argv) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("source, flags, message", [
+    ("LOAD 1x\nHALT\n", [], "line 1: bad operand '1x'"),
+    ("LOAD 300\nHALT\n", [], "line 1: value 300 out of 8-bit range"),
+    ("CMA\n1A: HALT\n", [], "line 2: bad label '1A'"),
+    ("HALT\n", ["--origin", "256"], "origin 256 outside memory"),
+    ("CMA\n.org\nHALT\n", [], "line 2: .org needs an address"),
+    (".byte 1\nHALT\n", [], "line 1: unknown directive '.byte'"),
+    ("HALT\n.word\n", [], "line 2: .word needs a value"),
+], ids=["operand", "range", "label", "origin", "org", "directive", "word"])
+def test_asm_errors_exit_1(source, flags, message, tmp_path, capsys):
+    src, out = tmp_path / "bad.asm", tmp_path / "bad.hex"
+    src.write_text(source)
+    assert run_cli(capsys, ["asm", str(src), str(out), *flags]) == (1, "", "error: %s\n" % message)
+    assert not out.exists()
+
+
+def test_assertion_error_exits_3(chain_image, capsys, monkeypatch):
+    # A broken invariant is an internal error, not an input error.
+    def broken(machine, result):
+        raise AssertionError("report out of step")
+
+    monkeypatch.setattr(cslow, "machine_report", broken)
+    assert run_cli(capsys, ["run", str(chain_image)]) == (
+        3, "", "internal error: report out of step\n")

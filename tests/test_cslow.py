@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import genprog
+import refisa
 from cslowsim import cslow, microcode
 from cslowsim.cslow import (
     MAX_THREADS,
@@ -24,7 +25,7 @@ from cslowsim.cslow import (
     read_bundle,
     sequential_baseline,
 )
-from cslowsim.isa import MEMORY_SIZE, MemoryImage, assemble, assemble_program, disassemble
+from cslowsim.isa import MEMORY_SIZE, MemoryImage, assemble, assemble_program
 from cslowsim.microcode import (
     MICROPROGRAM,
     CoreState,
@@ -239,7 +240,7 @@ def test_no_row_reads_and_writes_memory():
     # Shared memory's lock-step copies rest on this rule (see `cslow`).
     rng = random.Random(11)
     seen = set()
-    for upc in range(len(MICROPROGRAM.rows)):
+    for upc in range(len(MICROPROGRAM)):
         for _ in range(16):
             state = CoreState()
             state.pc, state.a, state.mar, state.ir, state.buffer = (
@@ -259,27 +260,46 @@ def test_shared_c1_matches_baseline():
     assert machine.run_all().memories[0] == run(asmres.image).memory.cells
 
 
+def in_progress(ctx, store):
+    """The instruction the tick loop's thread `ctx` is in on `store`, as the
+    instruction set spells it (`refisa`): the one at its pc, with its
+    operand, until the Fetch rows have loaded ir, then the one ir holds."""
+    if ctx.micro_pc > 2:
+        return refisa.DECODE[ctx.ir & 15]
+    word = store[ctx.pc]
+    op = refisa.DECODE[word & 15]
+    return "%s 0x%02X" % (op, store[(ctx.pc + 1) & 255]) if word & 8 else op
+
+
 def test_run_all_cycle_limit_names_threads():
     runaway = asm("L: LOAD X\nSUB Z\nJOC L\nHALT\nX: .word 1\nZ: .word 0")
     done = asm("HALT")
-    config = CslowConfig(2, MemoryMode.PRIVATE, max_fast_cycles=2000)
-    with pytest.raises(CycleLimitExceeded) as exc:
-        CslowMachine(config, [done, runaway]).run_all()
-    assert exc.value.threads == [1]
-    assert_same_run(exc.value, tick_oracle(config, [done, runaway], False)[0])
-    assert not exc.value.state[0].halted
-    # The message names the stuck thread's pc and the instruction there
-    # (the loop writes no memory, so its image holds what the thread sees).
-    pc = exc.value.state[0].pc
-    assert str(exc.value) == ("threads [1] not halted within 2000 fast cycles; "
-                              "thread 1 at pc 0x%02x: %s"
-                              % (pc, disassemble(runaway, pc, 2).splitlines()[0]))
+    # The loop takes 35 cycles, 70 fast cycles at C = 2: these limits stop
+    # thread 1 on each of its steps, in the Fetch rows and after them.
+    upcs = set()
+    for limit in range(200, 270):
+        config = CslowConfig(2, MemoryMode.PRIVATE, max_fast_cycles=limit)
+        with pytest.raises(CycleLimitExceeded) as exc:
+            CslowMachine(config, [done, runaway]).run_all()
+        assert exc.value.threads == [1]
+        ref = tick_oracle(config, [done, runaway], False)[0]
+        assert_same_run(exc.value, ref)
+        assert not exc.value.state[0].halted
+        ctx = ref.contexts[1]
+        assert str(exc.value) == ("threads [1] not halted within %d fast cycles; "
+                                  "thread 1 at pc 0x%02x: %s"
+                                  % (limit, ctx.pc, in_progress(ctx, ref.stores[1])))
+        upcs.add(ctx.micro_pc)
+    assert {1, 2, 3, 14, 23} <= upcs
     shared = CslowConfig(2, MemoryMode.SHARED, max_fast_cycles=2000)
     with pytest.raises(CycleLimitExceeded) as exc:
         CslowMachine(shared, [runaway]).run_all()
     assert exc.value.threads == [0, 1]
-    assert_same_run(exc.value, tick_oracle(shared, [runaway], False)[0])
-    assert str(exc.value).count("; thread ") == 2
+    ref = tick_oracle(shared, [runaway], False)[0]
+    assert_same_run(exc.value, ref)
+    assert str(exc.value) == "threads [0, 1] not halted within 2000 fast cycles" + "".join(
+        "; thread %d at pc 0x%02x: %s" % (t, ctx.pc, in_progress(ctx, ref.stores[t]))
+        for t, ctx in enumerate(ref.contexts))
 
 
 def test_machine_report_fields():

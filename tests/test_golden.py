@@ -17,7 +17,12 @@ repeated-image private cases were added, with their digests, before private
 and tagged threads that start from one image came to run once.  The
 cycle-limit digests, and only they, were taken again when a limit's message
 came to name each stuck thread's pc and the instruction there, and `bench`
-came to print no table when a row fails.
+came to print no table when a row fails.  Five of them were taken again
+when the message came to name the instruction a stuck thread is in, the
+mnemonic its ir holds once the Fetch rows have loaded it, where it had
+named the word at its pc: "run countdown --max-cycles 171", "bench shared
+--max-cycles 50", "bench private memloop countdown memloop --max-cycles
+50" and the two "--max-cycles 787" cases.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only for an
 intended change of the output format.
 """
@@ -182,11 +187,11 @@ GOLDEN = {
     "run-cslow shared C=8":
         "7957ba310e9651b0975286489401d1a5292790d35c8880031cfdfb3ccfe5e790",
     "bench shared --max-cycles 50":
-        "03364b9a161bdf5f2a5e0ae425a724437ec49124e2dbcb9b20007c3c970e73f7",
+        "4017d525259be0c5f9f2a713fedfc0c60d92146b85d7a9142681799d053d1b34",
     "bench shared --max-cycles 5000":
         "73234f9755c6bbfa4f80191b813796ba208e5b49cabd605b354a9d61a0f26c93",
     "run countdown --max-cycles 171":
-        "0d79a5612696f5ce9a1c38fa63c8e9ed9f2a229c84d95acd4ff2a589875b9bf4",
+        "0f40fe7f13ca1ebdf91b620277c430a01373f82679f7a6df9f6fdc52c981a357",
     "run countdown --max-cycles 172":
         "20bb0264b88c1178b3ee85129736d3db8c8637fdc52914384da81b51d7cd83c6",
     "bench private --max-cycles 1":
@@ -200,7 +205,7 @@ GOLDEN = {
     "run-cslow shared 1 image C=3":
         "97a8c2523dedeabe6abce14f415b53d61ad6909f72fa07e139cc23980a95deae",
     "run-cslow shared C=3 --max-cycles 787":
-        "3cf44892ae079d5a22adf7a4aa7e40b94a02a27e91154860bbb3582837e61519",
+        "02ab1f71cad5b7946b55e85ac2783d6ed6770b0e05735adc04fbed710e0c356f",
     "bench shared --max-cycles 1":
         "fa3fb6e469cbb9569711d506e3d3976922023bb34f1b2b8ea7eb3e783b12512a",
     "bench shared --max-cycles 13":
@@ -208,11 +213,11 @@ GOLDEN = {
     "bench private memloop countdown memloop --max-cycles 13":
         "49c5b3479f00410c90728ecec6a6d3656b2e479da10815f3e46e6303d61fc8e9",
     "bench private memloop countdown memloop --max-cycles 50":
-        "03364b9a161bdf5f2a5e0ae425a724437ec49124e2dbcb9b20007c3c970e73f7",
+        "4017d525259be0c5f9f2a713fedfc0c60d92146b85d7a9142681799d053d1b34",
     "bench private memloop countdown memloop --max-cycles 5000":
         "852548e8536c1f6d48fa0e39c3fa51501a050690062e4e830b2fc5bebebfc962",
     "run-cslow private 3 memloop --max-cycles 787":
-        "3cf44892ae079d5a22adf7a4aa7e40b94a02a27e91154860bbb3582837e61519",
+        "02ab1f71cad5b7946b55e85ac2783d6ed6770b0e05735adc04fbed710e0c356f",
     "retime ring --cslow 3 --check 20":
         "b0ab0f68b6b0b5a5613e7463cd3cf8be13df133397cd04f9a1274ca05fb0e260",
     "retime toggle --cslow 3 --check 20":

@@ -32,19 +32,19 @@ from reftrace import format_trace, image_trace, instruction_cycle_cost, row_trac
 
 def test_microprogram_shape():
     prog = build_microprogram()
-    assert len(prog.rows) == MICROPROGRAM_LENGTH == 53
-    assert prog.rows[0].transfers == (Transfer.PC_ZERO,)
-    assert prog.rows[1].transfers == (Transfer.MAR_PC,)
-    assert prog.rows[1].control == ("next",)
-    assert prog.rows[2].transfers == (Transfer.IR_MEM, Transfer.PC_INC)
-    assert prog.rows[7].control == ("goto", 52)
-    assert prog.rows[24].transfers == (Transfer.BUF_MEM, Transfer.PC_INC)
-    assert prog.rows[36].control == ("if", Cond.I0_ONE, 39)
-    assert prog.rows[50].transfers == (Transfer.PC_MEM,)
-    assert prog.rows[50].control == ("next",)
-    assert prog.rows[51].control == ("goto", FETCH)
-    assert prog.rows[52].control == ("goto", 52)  # halt self-loop
-    for row in prog.rows:
+    assert len(prog) == MICROPROGRAM_LENGTH == 53
+    assert prog[0].transfers == (Transfer.PC_ZERO,)
+    assert prog[1].transfers == (Transfer.MAR_PC,)
+    assert prog[1].control == ("next",)
+    assert prog[2].transfers == (Transfer.IR_MEM, Transfer.PC_INC)
+    assert prog[7].control == ("goto", 52)
+    assert prog[24].transfers == (Transfer.BUF_MEM, Transfer.PC_INC)
+    assert prog[36].control == ("if", Cond.I0_ONE, 39)
+    assert prog[50].transfers == (Transfer.PC_MEM,)
+    assert prog[50].control == ("next",)
+    assert prog[51].control == ("goto", FETCH)
+    assert prog[52].control == ("goto", 52)  # halt self-loop
+    for row in prog:
         if row.control[0] in ("goto", "if"):
             assert 0 <= row.control[-1] <= 52
 

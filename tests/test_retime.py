@@ -95,6 +95,11 @@ def test_min_period_retime_balanced_chain_unchanged(chain_net_text):
     assert result.period == critical_path(mid).period == 2
 
 
+def test_min_period_retime_of_empty_netlist():
+    empty = parse("")
+    assert min_period_retime(empty) == retime.RetimeResult({}, 0, empty, 0)
+
+
 def test_min_period_retime_lags_preserve_io():
     net = parse("input a\ngate g BUF 2\ngate h BUF 2\noutput o\n"
                 "wire a g 0 2\nwire g h 0 0\nwire h o 0 0\n")
@@ -106,9 +111,12 @@ def test_min_period_retime_lags_preserve_io():
 
 def test_pipeline_examples(chain_net_text):
     chain = parse(chain_net_text)
-    assert critical_path(pipeline(chain, 1)).period == 2
-    assert critical_path(pipeline(chain, 0)).period == 4
-    deep = pipeline(chain, 3)
+    assert critical_path(pipeline(chain, 1).netlist).period == 2
+    assert critical_path(pipeline(chain, 0).netlist).period == 4
+    result = pipeline(chain, 3)
+    # The retimer's periods are the staged netlist's: the input's before.
+    assert (result.period_before, result.period) == (4, 1)
+    deep = result.netlist
     assert critical_path(deep).period == 1
     # every input->output path gains exactly k registers
     assert deep.total_registers == 3
@@ -117,12 +125,24 @@ def test_pipeline_examples(chain_net_text):
 def test_pipeline_latency_shift(chain_net_text):
     chain = parse(chain_net_text)
     for k in (1, 2, 3):
-        piped = pipeline(chain, k)
+        piped = pipeline(chain, k).netlist
         rng = random.Random(4)
         stream = [rng.randint(0, 1) for _ in range(40)]
         base = simulate(chain, {"in": stream}, 40)
         out = simulate(piped, {"in": stream}, 40)
         assert out["out"][k:] == base["out"][:-k]
+
+
+def test_pipeline_periods_are_the_netlists():
+    # `retime --pipeline` reports the retimer's periods: the input's own
+    # before, and the pipelined netlist's after.
+    rng = random.Random(23)
+    for _ in range(40):
+        net = gennet.random_netlist(rng, max_gates=8, p_feedback=0)
+        for k in range(4):
+            result = pipeline(net, k)
+            assert result.period_before == critical_path(net).period
+            assert result.period == critical_path(result.netlist).period
 
 
 def test_pipeline_rejects_feedback(ring_net_text):
@@ -137,6 +157,8 @@ def test_check_equivalence_reflexive(ring_net_text):
     ring = parse(ring_net_text)
     report = check_equivalence(ring, ring, trials=16, cycles=64)
     assert report.passed and report.verdict == "PASS"
+    with pytest.raises(BadC, match="^slowdown factor must be >= 1, got 0$"):
+        check_equivalence(ring, ring, trials=16, cycles=64, factor=0)
 
 
 def test_check_equivalence_retimed_pair(ring_net_text):
@@ -407,7 +429,7 @@ def test_recover_lags_only_of_a_retiming(ring_net_text, chain_net_text):
     assert not check_equivalence(ring, extra, trials=8, cycles=32, warmup=0).passed
     # A pipeline moves the io nodes' phase, which a retiming keeps.
     chain = parse(chain_net_text)
-    assert recover_lags(chain, pipeline(chain, 1), 1) is None
+    assert recover_lags(chain, pipeline(chain, 1).netlist, 1) is None
     assert recover_lags(chain, chain, 1) == dict.fromkeys(chain.nodes, 0)
 
 
